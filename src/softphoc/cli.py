@@ -1,12 +1,14 @@
 """Command-line surface: encode, simulate, spot, eval.
 
 Exit codes: 0 success, 2 parse/validation errors (with the offending
-line where applicable), 3 I/O errors, 4 empty query list. Diagnostics
+line where applicable; also out-of-range flag values and text inputs
+that are not UTF-8), 3 I/O errors, 4 empty query list. Diagnostics
 go to stderr; verbosity is controlled by the SPHOC_LOG environment
 variable (error, info or debug).
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -15,8 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
 from .bbox import line_to_bbox
-from .encoder import embed_scene
-from .errors import AnnotationParseError, SoftPhocError, TensorFormatError
+from .errors import SoftPhocError
 from .evaluation import evaluate_bboxes, evaluate_lines
 from .oracle import NoiseConfig, simulate
 from .spotting import SpottingConfig, spot
@@ -26,6 +27,9 @@ log = logging.getLogger("softphoc")
 EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_NO_QUERIES = 4
+
+# Config fields whose flag is not the field name with dashes.
+_FLAG_NAMES = {"query_samples_per_char": "samples-per-char"}
 
 
 def _configure_logging():
@@ -38,31 +42,21 @@ def _configure_logging():
     log.setLevel(level)
 
 
-def _add_noise_flags(parser):
-    parser.add_argument("--blur-sigma", type=float, default=0.0)
-    parser.add_argument("--confusion-rate", type=float, default=0.0)
-    parser.add_argument("--background-leak", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
+def _add_config_flags(parser, config_class):
+    """One flag per field of a config dataclass, with the field's default."""
+    for field in dataclasses.fields(config_class):
+        flag = _FLAG_NAMES.get(field.name, field.name.replace("_", "-"))
+        parser.add_argument("--" + flag, dest=field.name,
+                            type=type(field.default), default=field.default,
+                            metavar=flag.replace("-", "_").upper())
 
 
-def _add_spotting_flags(parser):
-    defaults = SpottingConfig()
-    parser.add_argument("--heatmap-threshold", type=float,
-                        default=defaults.heatmap_threshold)
-    parser.add_argument("--hough-rho-res", type=float, default=defaults.hough_rho_res)
-    parser.add_argument("--hough-theta-res", type=float,
-                        default=defaults.hough_theta_res)
-    parser.add_argument("--hough-min-votes", type=int, default=defaults.hough_min_votes)
-    parser.add_argument("--nms-rho", type=float, default=defaults.nms_rho)
-    parser.add_argument("--nms-theta", type=float, default=defaults.nms_theta)
-    parser.add_argument("--max-candidates", type=int, default=defaults.max_candidates)
-    parser.add_argument("--gap-bridge", type=int, default=defaults.gap_bridge)
-    parser.add_argument("--band-halfwidth", type=float,
-                        default=defaults.band_halfwidth)
-    parser.add_argument("--samples-per-char", type=int,
-                        default=defaults.query_samples_per_char)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel query workers (output order is preserved)")
+def _config(config_class, ns):
+    """The config built from the parsed flags; defaults for absent fields."""
+    given = vars(ns)
+    return config_class(**{f.name: given[f.name]
+                           for f in dataclasses.fields(config_class)
+                           if f.name in given})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,97 +66,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "word spotting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="ground truth -> scene tensor file")
-    enc.add_argument("annotations")
-    enc.add_argument("out_tensor")
-    enc.add_argument("--width", type=int, required=True)
-    enc.add_argument("--height", type=int, required=True)
-
-    sim = sub.add_parser("simulate",
-                         help="ground truth -> corrupted probability map")
-    sim.add_argument("annotations")
-    sim.add_argument("out_tensor")
-    sim.add_argument("--width", type=int, required=True)
-    sim.add_argument("--height", type=int, required=True)
-    _add_noise_flags(sim)
+    # encode is simulate without noise flags: an identity NoiseConfig
+    # makes simulate return exactly embed_scene.
+    for name, help_text in (("encode", "ground truth -> scene tensor file"),
+                            ("simulate",
+                             "ground truth -> corrupted probability map")):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("annotations")
+        cmd.add_argument("out_tensor")
+        cmd.add_argument("--width", type=int, required=True)
+        cmd.add_argument("--height", type=int, required=True)
+        if name == "simulate":
+            _add_config_flags(cmd, NoiseConfig)
+        cmd.set_defaults(run=_cmd_simulate)
 
     sp = sub.add_parser("spot", help="run queries against a probability map")
     sp.add_argument("tensor")
     sp.add_argument("queries", help="text file with one query per line")
     sp.add_argument("out_detections")
-    _add_spotting_flags(sp)
+    _add_config_flags(sp, SpottingConfig)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="parallel query workers (output order is preserved)")
+    sp.set_defaults(run=_cmd_spot)
 
     ev = sub.add_parser("eval", help="score detections against ground truth")
     ev.add_argument("detections")
     ev.add_argument("gt_annotations")
     ev.add_argument("--mode", choices=("line", "bbox"), default="line")
     ev.add_argument("--threshold", type=float, default=0.5)
+    ev.set_defaults(run=_cmd_eval)
     return parser
 
 
-def _cmd_encode(ns, noise: NoiseConfig | None = None) -> int:
-    try:
-        scene = fileio.load_annotations(ns.annotations, ns.width, ns.height)
-    except AnnotationParseError as exc:
-        log.error("cannot parse %s: %s", ns.annotations, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    tensor = simulate(scene, noise) if noise is not None else embed_scene(scene)
-    try:
-        fileio.write_tensor(ns.out_tensor, tensor)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _cmd_simulate(ns) -> int:
+    noise = _config(NoiseConfig, ns)
+    scene = fileio.load_annotations(ns.annotations, ns.width, ns.height)
+    fileio.write_tensor(ns.out_tensor, simulate(scene, noise))
     log.info("wrote %s (%dx%d)", ns.out_tensor, ns.height, ns.width)
     return 0
 
 
-def _cmd_simulate(ns) -> int:
-    noise = NoiseConfig(blur_sigma=ns.blur_sigma,
-                        confusion_rate=ns.confusion_rate,
-                        background_leak=ns.background_leak,
-                        seed=ns.seed)
-    return _cmd_encode(ns, noise)
-
-
-def _spotting_config(ns) -> SpottingConfig:
-    return SpottingConfig(
-        heatmap_threshold=ns.heatmap_threshold,
-        hough_rho_res=ns.hough_rho_res,
-        hough_theta_res=ns.hough_theta_res,
-        hough_min_votes=ns.hough_min_votes,
-        nms_rho=ns.nms_rho,
-        nms_theta=ns.nms_theta,
-        max_candidates=ns.max_candidates,
-        gap_bridge=ns.gap_bridge,
-        band_halfwidth=ns.band_halfwidth,
-        query_samples_per_char=ns.samples_per_char,
-    )
-
-
 def _cmd_spot(ns) -> int:
-    try:
-        tensor = fileio.read_tensor(ns.tensor)
-    except TensorFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        with open(ns.queries, "r", encoding="utf-8") as fh:
-            queries = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = _config(SpottingConfig, ns)
+    tensor = fileio.read_tensor(ns.tensor)
+    with open(ns.queries, "r", encoding="utf-8") as fh:
+        queries = [line.strip() for line in fh if line.strip()]
     if not queries:
         print("error: query list is empty", file=sys.stderr)
         return EXIT_NO_QUERIES
 
-    cfg = _spotting_config(ns)
     height, width = tensor.shape[:2]
 
     def run_query(query):
@@ -180,28 +132,13 @@ def _cmd_spot(ns) -> int:
             records = list(pool.map(run_query, queries))
     else:
         records = [run_query(q) for q in queries]
-    try:
-        fileio.write_detections(ns.out_detections, records)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    fileio.write_detections(ns.out_detections, records)
     return 0
 
 
 def _cmd_eval(ns) -> int:
-    if not (0.0 < ns.threshold < 1.0):
-        print(f"error: threshold {ns.threshold} outside (0, 1)", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rows = fileio.read_detections(ns.detections)
-        gt = fileio.load_annotations(ns.gt_annotations)
-    except (AnnotationParseError, TensorFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    rows = fileio.read_detections(ns.detections)
+    gt = fileio.load_annotations(ns.gt_annotations)
     queries = [query for query, _, _ in rows]
     if ns.mode == "line":
         detections = [det for _, det, _ in rows if det is not None]
@@ -212,54 +149,36 @@ def _cmd_eval(ns) -> int:
         report = evaluate_bboxes(boxes, gt, ns.threshold, queries=queries)
         rate_name, rate = "hmean", report.hmean
 
-    lines = [
-        f"mode: {ns.mode}",
-        f"threshold: {ns.threshold}",
-        f"precision: {report.precision:.6f}",
-        f"recall: {report.recall:.6f}",
-        f"{rate_name}: {rate:.6f}",
-        f"true_positives: {report.true_positives}",
-        f"false_positives: {report.false_positives}",
-        f"false_negatives: {report.false_negatives}",
-    ]
-    print("\n".join(lines))
+    rates = {"precision": report.precision, "recall": report.recall,
+             rate_name: rate}
     payload = {
         "mode": ns.mode,
         "threshold": ns.threshold,
-        "precision": report.precision,
-        "recall": report.recall,
-        rate_name: rate,
+        **rates,
         "true_positives": report.true_positives,
         "false_positives": report.false_positives,
         "false_negatives": report.false_negatives,
     }
-    report_path = ns.detections + ".report.json"
-    try:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    print("\n".join(f"{key}: {value:.6f}" if key in rates else f"{key}: {value}"
+                    for key, value in payload.items()))
+    with open(ns.detections + ".report.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place errors become exit codes."""
     _configure_logging()
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "encode":
-            return _cmd_encode(ns)
-        if ns.command == "simulate":
-            return _cmd_simulate(ns)
-        if ns.command == "spot":
-            return _cmd_spot(ns)
-        if ns.command == "eval":
-            return _cmd_eval(ns)
-    except SoftPhocError as exc:
+        return ns.run(ns)
+    except (SoftPhocError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    raise AssertionError(f"unhandled command {ns.command}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

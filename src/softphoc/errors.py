@@ -33,6 +33,17 @@ class EmptySequence(SoftPhocError):
     """Empty descriptor sequence where at least one sample is required."""
 
 
+class InvalidConfig(SoftPhocError):
+    """Configuration field outside its valid range."""
+
+
+def check_fields(cfg, checks) -> None:
+    """Raise InvalidConfig for the first (field, ok, rule) check that fails."""
+    for name, ok, rule in checks:
+        if not ok:
+            raise InvalidConfig(f"{name} {getattr(cfg, name)} must be {rule}")
+
+
 class TensorFormatError(SoftPhocError):
     """Malformed tensor file header or truncated payload."""
 

@@ -68,32 +68,37 @@ def line_box_overlap(segment: LineSegment, quad: np.ndarray) -> float:
     return clipped / max(length, major_axis)
 
 
-def _greedy_match(detections, gt_words, scores, threshold):
-    """One-to-one assignment by descending score; returns matched pairs."""
-    pairs = [(scores[di][gi], di, gi)
-             for di in range(len(detections))
-             for gi in range(len(gt_words))
-             if scores[di][gi] >= threshold]
+def _evaluate(items, query_of, score, gt, threshold, threshold_name,
+              queries) -> EvalReport:
+    """Greedy one-to-one matching of items to same-transcription
+    ground-truth words by descending score(item, quad) >= threshold.
+
+    Only ground-truth words whose transcription was queried count;
+    `queries` defaults to the items' own queries.
+    """
+    if not (0.0 < threshold < 1.0):
+        raise SoftPhocError(f"{threshold_name} {threshold} outside (0, 1)")
+    queried = {q.lower() for q in (queries if queries is not None
+                                   else map(query_of, items))}
+    gt_words = [w for w in gt.words if w.transcription.lower() in queried]
+    pairs = []
+    for di, item in enumerate(items):
+        query = query_of(item).lower()
+        for gi, word in enumerate(gt_words):
+            if query == word.transcription.lower():
+                s = score(item, word.quad)
+                if s >= threshold:
+                    pairs.append((s, di, gi))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    used_det, used_gt, matches = set(), set(), []
-    for score, di, gi in pairs:
-        if di in used_det or gi in used_gt:
-            continue
-        used_det.add(di)
-        used_gt.add(gi)
-        matches.append((di, gi))
-    return matches
-
-
-def _queried_transcriptions(detections, queries):
-    if queries is None:
-        return {d.query.lower() for d in detections}
-    return {q.lower() for q in queries}
-
-
-def _check_threshold(value, name):
-    if not (0.0 < value < 1.0):
-        raise SoftPhocError(f"{name} {value} outside (0, 1)")
+    used_det, used_gt = set(), set()
+    for _, di, gi in pairs:
+        if di not in used_det and gi not in used_gt:
+            used_det.add(di)
+            used_gt.add(gi)
+    tp = len(used_det)
+    return EvalReport(true_positives=tp,
+                      false_positives=len(items) - tp,
+                      false_negatives=len(gt_words) - tp)
 
 
 def evaluate_lines(detections: list[Detection], gt: SceneAnnotation,
@@ -106,18 +111,9 @@ def evaluate_lines(detections: list[Detection], gt: SceneAnnotation,
     queries with no returned detection still count their ground-truth
     words as misses); it defaults to the detections' own queries.
     """
-    _check_threshold(threshold, "overlap threshold")
-    queried = _queried_transcriptions(detections, queries)
-    gt_words = [w for w in gt.words if w.transcription.lower() in queried]
-    scores = [[line_box_overlap(det.segment, word.quad)
-               if det.query.lower() == word.transcription.lower() else -1.0
-               for word in gt_words]
-              for det in detections]
-    matches = _greedy_match(detections, gt_words, scores, threshold)
-    tp = len(matches)
-    return EvalReport(true_positives=tp,
-                      false_positives=len(detections) - tp,
-                      false_negatives=len(gt_words) - tp)
+    return _evaluate(detections, lambda det: det.query,
+                     lambda det, quad: line_box_overlap(det.segment, quad),
+                     gt, threshold, "overlap threshold", queries)
 
 
 def box_quad_iou(box: BoundingBox, quad: np.ndarray) -> float:
@@ -136,16 +132,6 @@ def evaluate_bboxes(boxes: list[tuple[str, BoundingBox]], gt: SceneAnnotation,
     """Box protocol: standard IoU against the ground-truth quad's
     axis-aligned bounding rectangle, with the same greedy
     same-transcription matching as the line protocol."""
-    _check_threshold(iou_threshold, "IoU threshold")
-    queried = {q.lower() for q in (queries if queries is not None
-                                   else [q for q, _ in boxes])}
-    gt_words = [w for w in gt.words if w.transcription.lower() in queried]
-    scores = [[box_quad_iou(box, word.quad)
-               if query.lower() == word.transcription.lower() else -1.0
-               for word in gt_words]
-              for query, box in boxes]
-    matches = _greedy_match(boxes, gt_words, scores, iou_threshold)
-    tp = len(matches)
-    return EvalReport(true_positives=tp,
-                      false_positives=len(boxes) - tp,
-                      false_negatives=len(gt_words) - tp)
+    return _evaluate(boxes, lambda item: item[0],
+                     lambda item, quad: box_quad_iou(item[1], quad),
+                     gt, iou_threshold, "IoU threshold", queries)

@@ -131,21 +131,21 @@ def trim_line_to_mask(rho: float, theta_deg: float, mask: np.ndarray,
     return (x1, y1), (x2, y2)
 
 
-def lines_from_mask(mask: np.ndarray, rho_res: float, theta_res: float,
-                    min_votes: int, nms_rho: float, nms_theta: float,
-                    max_candidates: int, band_halfwidth: float,
-                    gap_bridge: int) -> list[LineSegment]:
-    """Full voting pipeline from a binary mask to candidate segments."""
+def lines_from_mask(mask: np.ndarray, cfg) -> list[LineSegment]:
+    """Full voting pipeline from a binary mask to candidate segments,
+    tuned by the Hough fields of `cfg` (a spotting.SpottingConfig)."""
     if not mask.any():
         return []
-    acc, rhos, thetas = hough_accumulator(mask, rho_res, theta_res)
-    peaks = find_peaks(acc, rhos, thetas, min_votes, nms_rho, nms_theta,
-                       max_candidates)
+    acc, rhos, thetas = hough_accumulator(mask, cfg.hough_rho_res,
+                                          cfg.hough_theta_res)
+    peaks = find_peaks(acc, rhos, thetas, cfg.hough_min_votes, cfg.nms_rho,
+                       cfg.nms_theta, cfg.max_candidates)
     ys, xs = np.nonzero(mask)
     segments = []
     for rho, theta, votes in peaks:
-        rho, theta = refine_line(rho, theta, xs, ys, band_halfwidth)
-        trimmed = trim_line_to_mask(rho, theta, mask, band_halfwidth, gap_bridge)
+        rho, theta = refine_line(rho, theta, xs, ys, cfg.band_halfwidth)
+        trimmed = trim_line_to_mask(rho, theta, mask, cfg.band_halfwidth,
+                                    cfg.gap_bridge)
         if trimmed is None:
             continue
         (x1, y1), (x2, y2) = trimmed

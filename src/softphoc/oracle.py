@@ -7,6 +7,7 @@ are deterministic; the seed is carried for interface stability and CLI
 round-tripping but the current corruption family does not draw from it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.ndimage import gaussian_filter
 from . import alphabet
 from .annotations import SceneAnnotation
 from .encoder import embed_scene
+from .errors import check_fields
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,13 @@ class NoiseConfig:
     confusion_rate: float = 0.0
     background_leak: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, (
+            ("blur_sigma", 0.0 <= self.blur_sigma < math.inf, "finite and >= 0"),
+            ("confusion_rate", 0.0 <= self.confusion_rate <= 1.0, "in [0, 1]"),
+            ("background_leak", 0.0 <= self.background_leak <= 1.0, "in [0, 1]"),
+        ))
 
     @property
     def is_identity(self) -> bool:

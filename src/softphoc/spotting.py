@@ -16,7 +16,8 @@ import numpy as np
 from . import alphabet, hough
 from .dtw import dtw_distance
 from .encoder import encode_word
-from .errors import DegenerateSegment, EmptyTranscription, SoftPhocError
+from .errors import (DegenerateSegment, EmptyTranscription, SoftPhocError,
+                     check_fields)
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
@@ -24,7 +25,8 @@ from .warp import bilinear_sample
 @dataclass(frozen=True)
 class SpottingConfig:
     """Pipeline knobs; only heatmap_threshold has a principled default,
-    the rest are voting/extraction plumbing."""
+    the rest are voting/extraction plumbing. Out-of-range values raise
+    InvalidConfig."""
 
     heatmap_threshold: float = 0.2
     hough_rho_res: float = 1.0
@@ -36,6 +38,22 @@ class SpottingConfig:
     gap_bridge: int = 5
     band_halfwidth: float = 2.0
     query_samples_per_char: int = 10
+
+    def __post_init__(self):
+        check_fields(self, (
+            ("heatmap_threshold", 0.0 < self.heatmap_threshold < 1.0, "in (0, 1)"),
+            ("hough_rho_res", 0.0 < self.hough_rho_res < math.inf, "finite and > 0"),
+            ("hough_theta_res", 0.0 < self.hough_theta_res < math.inf,
+             "finite and > 0"),
+            ("hough_min_votes", self.hough_min_votes >= 1, ">= 1"),
+            ("nms_rho", self.nms_rho >= 0.0, ">= 0"),
+            ("nms_theta", self.nms_theta >= 0.0, ">= 0"),
+            ("max_candidates", self.max_candidates >= 1, ">= 1"),
+            ("gap_bridge", self.gap_bridge >= 0, ">= 0"),
+            ("band_halfwidth", 0.0 < self.band_halfwidth < math.inf,
+             "finite and > 0"),
+            ("query_samples_per_char", self.query_samples_per_char >= 1, ">= 1"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -71,17 +89,7 @@ def threshold_mask(heatmap: np.ndarray, threshold: float) -> np.ndarray:
 
 def hough_lines(mask: np.ndarray, cfg: SpottingConfig = SpottingConfig()) -> list[LineSegment]:
     """Candidate text-line segments for a binary mask (may be empty)."""
-    return hough.lines_from_mask(
-        mask,
-        rho_res=cfg.hough_rho_res,
-        theta_res=cfg.hough_theta_res,
-        min_votes=cfg.hough_min_votes,
-        nms_rho=cfg.nms_rho,
-        nms_theta=cfg.nms_theta,
-        max_candidates=cfg.max_candidates,
-        band_halfwidth=cfg.band_halfwidth,
-        gap_bridge=cfg.gap_bridge,
-    )
+    return hough.lines_from_mask(mask, cfg)
 
 
 def query_descriptor(query: str, cfg: SpottingConfig = SpottingConfig()) -> np.ndarray:

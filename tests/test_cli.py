@@ -1,21 +1,30 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import softphoc
+from softphoc import cli
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.cli import main
 from softphoc.encoder import embed_scene
 from softphoc.fileio import read_tensor, write_tensor
+from softphoc.oracle import NoiseConfig
+from softphoc.spotting import SpottingConfig
 
 GT_SINGLE = "20,30,90,30,90,46,20,46,CARPARK\n"
 GT_DIRECTORY = "30,40,138,40,138,58,30,58,DIRECTORY\n"
+GT_HELLO = "20,30,90,30,90,46,20,46,hello\n"
 
 
-def quad_scene():
+def quad_scene(transcription="CARPARK"):
     quad = np.array([[20, 30], [90, 30], [90, 46], [20, 46]], dtype=float)
-    return SceneAnnotation(160, 100, [WordAnnotation(quad, "CARPARK")])
+    return SceneAnnotation(160, 100, [WordAnnotation(quad, transcription)])
 
 
 def run(args):
@@ -192,10 +201,14 @@ def test_module_entry_point(tmp_path):
     gt = tmp_path / "gt.txt"
     gt.write_text(GT_SINGLE)
     out = tmp_path / "scene.sphoc"
+    # The child imports the same softphoc as this process, installed or not.
+    package_root = str(Path(softphoc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "softphoc", "encode", str(gt), str(out),
          "--width", "160", "--height", "100"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.exists()
 
@@ -218,3 +231,103 @@ def test_tensor_written_by_library_is_cli_compatible(tmp_path):
     queries = tmp_path / "q.txt"
     queries.write_text("CARPARK\n")
     assert run(["spot", path, queries, tmp_path / "d.tsv"]) == 0
+
+
+# Every flag generated from a config field, with a valid non-default
+# value: flag -> (field, value).
+SPOT_FLAGS = {
+    "--heatmap-threshold": ("heatmap_threshold", 0.35),
+    "--hough-rho-res": ("hough_rho_res", 1.5),
+    "--hough-theta-res": ("hough_theta_res", 0.5),
+    "--hough-min-votes": ("hough_min_votes", 7),
+    "--nms-rho": ("nms_rho", 3.0),
+    "--nms-theta": ("nms_theta", 4.0),
+    "--max-candidates": ("max_candidates", 3),
+    "--gap-bridge": ("gap_bridge", 2),
+    "--band-halfwidth": ("band_halfwidth", 2.5),
+    "--samples-per-char": ("query_samples_per_char", 6),
+}
+NOISE_FLAGS = {
+    "--blur-sigma": ("blur_sigma", 0.5),
+    "--confusion-rate": ("confusion_rate", 0.1),
+    "--background-leak": ("background_leak", 0.05),
+    "--seed": ("seed", 9),
+}
+
+
+def hello_inputs(tmp_path):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(GT_HELLO)
+    tensor = tmp_path / "scene.sphoc"
+    write_tensor(tensor, embed_scene(quad_scene("hello")))
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\n")
+    return gt, tensor, queries
+
+
+def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
+    gt, tensor, queries = hello_inputs(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "spot", lambda prob, query, cfg: seen.append(cfg))
+    monkeypatch.setattr(cli, "simulate",
+                        lambda scene, noise: seen.append(noise) or embed_scene(scene))
+    for flags, config_class in ((SPOT_FLAGS, SpottingConfig),
+                                (NOISE_FLAGS, NoiseConfig)):
+        assert {field for field, _ in flags.values()} == \
+            {f.name for f in dataclasses.fields(config_class)}
+        for field, value in flags.values():
+            assert getattr(config_class(), field) != value
+
+    argv = [a for flag, (_, value) in SPOT_FLAGS.items() for a in (flag, value)]
+    assert run(["spot", tensor, queries, tmp_path / "d.tsv", *argv]) == 0
+    assert run(["spot", tensor, queries, tmp_path / "d.tsv"]) == 0
+    assert seen == [SpottingConfig(**dict(SPOT_FLAGS.values())), SpottingConfig()]
+
+    seen.clear()
+    size = ["--width", 160, "--height", 100]
+    argv = [a for flag, (_, value) in NOISE_FLAGS.items() for a in (flag, value)]
+    assert run(["simulate", gt, tmp_path / "n.sphoc", *size, *argv]) == 0
+    assert run(["simulate", gt, tmp_path / "n.sphoc", *size]) == 0
+    assert run(["encode", gt, tmp_path / "e.sphoc", *size]) == 0
+    assert seen == [NoiseConfig(**dict(NOISE_FLAGS.values())), NoiseConfig(),
+                    NoiseConfig()]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("spot", "--hough-rho-res", "0"),
+    ("spot", "--hough-theta-res", "0"),
+    ("spot", "--hough-rho-res", "nan"),
+    ("spot", "--band-halfwidth", "-1"),
+    ("spot", "--gap-bridge", "-3"),
+    ("spot", "--max-candidates", "0"),
+    ("simulate", "--background-leak", "2"),
+    ("simulate", "--confusion-rate", "-0.5"),
+    ("simulate", "--confusion-rate", "nan"),
+    ("simulate", "--blur-sigma", "-1"),
+])
+def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
+    gt, tensor, queries = hello_inputs(tmp_path)
+    if command == "spot":
+        argv = ["spot", tensor, queries, tmp_path / "d.tsv"]
+    else:
+        argv = ["simulate", gt, tmp_path / "n.sphoc", "--width", 160,
+                "--height", 100]
+    assert run([*argv, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["spot", "encode", "eval"])
+def test_non_utf8_text_input_exits_2(tmp_path, capsys, command):
+    gt, tensor, queries = hello_inputs(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"hel\xfflo\n")
+    argv = {
+        "spot": ["spot", tensor, bad, tmp_path / "d.tsv"],
+        "encode": ["encode", bad, tmp_path / "e.sphoc", "--width", 160,
+                   "--height", 100],
+        "eval": ["eval", bad, gt],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
