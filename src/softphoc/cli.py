@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
 from .bbox import line_to_bbox
-from .errors import SoftPhocError
+from .errors import SoftPhocError, check_fields
 from .evaluation import evaluate_bboxes, evaluate_lines
 from .oracle import NoiseConfig, simulate
 from .spotting import SpottingConfig, spot
@@ -99,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(ns) -> int:
+    check_fields(ns, (("width", ns.width >= 1, ">= 1"),
+                      ("height", ns.height >= 1, ">= 1")))
     noise = _config(NoiseConfig, ns)
     scene = fileio.load_annotations(ns.annotations, ns.width, ns.height)
     fileio.write_tensor(ns.out_tensor, simulate(scene, noise))
@@ -107,10 +109,11 @@ def _cmd_simulate(ns) -> int:
 
 
 def _cmd_spot(ns) -> int:
+    check_fields(ns, (("jobs", ns.jobs >= 1, ">= 1"),))
     cfg = _config(SpottingConfig, ns)
     tensor = fileio.read_tensor(ns.tensor)
-    with open(ns.queries, "r", encoding="utf-8") as fh:
-        queries = [line.strip() for line in fh if line.strip()]
+    queries = [line.strip() for line in fileio.read_text(ns.queries).split("\n")
+               if line.strip()]
     if not queries:
         print("error: query list is empty", file=sys.stderr)
         return EXIT_NO_QUERIES
@@ -127,11 +130,8 @@ def _cmd_spot(ns) -> int:
                  detection.dtw_distance, detection.candidates_considered)
         return fileio.format_detection_record(query, detection, box)
 
-    if ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            records = list(pool.map(run_query, queries))
-    else:
-        records = [run_query(q) for q in queries]
+    with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
+        records = list(pool.map(run_query, queries))
     fileio.write_detections(ns.out_detections, records)
     return 0
 
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.run(ns)
-    except (SoftPhocError, UnicodeDecodeError) as exc:
+    except SoftPhocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

@@ -27,8 +27,10 @@ def dtw_distance(a, b) -> float:
     optimal monotone alignment is divided by (|a| + |b|) so scores are
     comparable across sequence lengths. Symmetric in its arguments.
 
-    The recurrence is evaluated along anti-diagonals so each wavefront
-    is a vectorized update instead of a per-cell Python loop.
+    Each row of the cost matrix is one vectorized update: with
+    u = c_i + min(D[i-1, j], D[i-1, j-1]) and S = cumsum(c_i), the row is
+    D[i] = S + minimum.accumulate(u - S), the running minimum carrying
+    the move (i, j-1).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -39,26 +41,9 @@ def dtw_distance(a, b) -> float:
 
     cost = cosine_cost_matrix(a, b)
     n, m = cost.shape
-    rows = np.arange(n)
-
-    prev1 = np.full(n, np.inf)  # diagonal k-1, indexed by row i
-    prev2 = np.full(n, np.inf)  # diagonal k-2
-    prev1[0] = cost[0, 0]
-    for k in range(1, n + m - 1):
-        i_lo = max(0, k - m + 1)
-        i_hi = min(k, n - 1)
-        idx = rows[i_lo:i_hi + 1]
-        local = cost[idx, k - idx]
-
-        best = prev1[i_lo:i_hi + 1].copy()  # move (i, j-1)
-        shifted = prev1[i_lo - 1:i_hi] if i_lo >= 1 else np.concatenate(
-            ([np.inf], prev1[:i_hi]))
-        np.minimum(best, shifted, out=best)  # move (i-1, j)
-        shifted = prev2[i_lo - 1:i_hi] if i_lo >= 1 else np.concatenate(
-            ([np.inf], prev2[:i_hi]))
-        np.minimum(best, shifted, out=best)  # move (i-1, j-1)
-
-        cur = np.full(n, np.inf)
-        cur[i_lo:i_hi + 1] = local + best
-        prev2, prev1 = prev1, cur
-    return float(prev1[n - 1]) / (n + m)
+    acc = np.cumsum(cost[0])  # first row: only the move (i, j-1)
+    for c in cost[1:]:
+        u = c + np.minimum(acc, np.concatenate(([np.inf], acc[:-1])))
+        s = np.cumsum(c)
+        acc = s + np.minimum.accumulate(u - s)
+    return float(acc[-1]) / (n + m)

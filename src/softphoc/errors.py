@@ -48,6 +48,10 @@ class TensorFormatError(SoftPhocError):
     """Malformed tensor file header or truncated payload."""
 
 
+class TextEncodingError(SoftPhocError):
+    """Text input file that is not valid UTF-8."""
+
+
 class AnnotationParseError(SoftPhocError):
     """Unparseable ground-truth annotation line."""
 

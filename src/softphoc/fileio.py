@@ -28,7 +28,7 @@ from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation, clamp_quad
 from .bbox import BoundingBox
 from .errors import (AnnotationParseError, EmptyTranscription,
-                     TensorFormatError)
+                     TensorFormatError, TextEncodingError)
 from .geometry import LineSegment
 from .spotting import Detection
 
@@ -69,6 +69,17 @@ def read_tensor(path) -> np.ndarray:
             f"payload is {len(payload)} bytes, header promises {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(height, width, channels)
     return data.astype(np.float32)  # writable, native byte order
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; TextEncodingError names the file
+    when it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise TextEncodingError(
+                f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_annotations(text: str, image_width: int | None = None,
@@ -121,8 +132,7 @@ def parse_annotations(text: str, image_width: int | None = None,
 
 def load_annotations(path, image_width: int | None = None,
                      image_height: int | None = None) -> SceneAnnotation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_annotations(fh.read(), image_width, image_height)
+    return parse_annotations(read_text(path), image_width, image_height)
 
 
 def format_detection_record(query: str, detection: Detection | None,
@@ -151,29 +161,27 @@ def read_detections(path):
     """Parse a detection file into (query, Detection|None, BoundingBox|None)
     tuples, in file order."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(_DETECTION_COLUMNS):
-                raise AnnotationParseError(
-                    f"line {lineno}: expected {len(_DETECTION_COLUMNS)} columns",
-                    line_number=lineno)
-            query, status = parts[0], parts[1]
-            if status == "not-found":
-                out.append((query, None, None))
-                continue
-            if status != "found":
-                raise AnnotationParseError(
-                    f"line {lineno}: unknown status {status!r}", line_number=lineno)
-            try:
-                x1, y1, x2, y2, rho, theta, dtw_d, cx, cy, w, h = map(float, parts[2:])
-            except ValueError:
-                raise AnnotationParseError(
-                    f"line {lineno}: malformed numeric field", line_number=lineno)
-            segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
-            detection = Detection(query=query, segment=segment, dtw_distance=dtw_d)
-            out.append((query, detection, BoundingBox(cx, cy, w, h)))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != len(_DETECTION_COLUMNS):
+            raise AnnotationParseError(
+                f"line {lineno}: expected {len(_DETECTION_COLUMNS)} columns",
+                line_number=lineno)
+        query, status = parts[0], parts[1]
+        if status == "not-found":
+            out.append((query, None, None))
+            continue
+        if status != "found":
+            raise AnnotationParseError(
+                f"line {lineno}: unknown status {status!r}", line_number=lineno)
+        try:
+            x1, y1, x2, y2, rho, theta, dtw_d, cx, cy, w, h = map(float, parts[2:])
+        except ValueError:
+            raise AnnotationParseError(
+                f"line {lineno}: malformed numeric field", line_number=lineno)
+        segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
+        detection = Detection(query=query, segment=segment, dtw_distance=dtw_d)
+        out.append((query, detection, BoundingBox(cx, cy, w, h)))
     return out

@@ -15,18 +15,16 @@ import numpy as np
 from .geometry import LineSegment, line_param_range_in_rect
 
 
-def hough_accumulator(mask: np.ndarray, rho_res: float = 1.0,
-                      theta_res: float = 1.0):
-    """Vote; returns (accumulator, rho_values, theta_values_deg)."""
-    height, width = mask.shape
-    ys, xs = np.nonzero(mask)
+def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+                      rho_res: float = 1.0, theta_res: float = 1.0):
+    """Votes of the pixels (xs, ys) of a (height, width) mask; returns
+    (accumulator, rho_values, theta_values_deg)."""
+    height, width = shape
     diag = math.hypot(width - 1, height - 1)
     half_bins = int(math.ceil(diag / rho_res))
     rhos = (np.arange(2 * half_bins + 1) - half_bins) * rho_res
     thetas = np.arange(0.0, 180.0, theta_res)
     acc = np.zeros((len(rhos), len(thetas)), dtype=np.int64)
-    if len(xs) == 0:
-        return acc, rhos, thetas
     cos_t = np.cos(np.radians(thetas))
     sin_t = np.sin(np.radians(thetas))
     for ti in range(len(thetas)):
@@ -48,6 +46,8 @@ def find_peaks(acc: np.ndarray, rhos: np.ndarray, thetas: np.ndarray,
     order = np.lexsort((cand_t, cand_r, -votes))
     peaks = []
     for k in order:
+        if len(peaks) >= max_candidates:
+            break
         rho = rhos[cand_r[k]]
         theta = thetas[cand_t[k]]
         suppressed = any(abs(rho - pr) <= nms_rho and abs(theta - pt) <= nms_theta
@@ -55,8 +55,6 @@ def find_peaks(acc: np.ndarray, rhos: np.ndarray, thetas: np.ndarray,
         if suppressed:
             continue
         peaks.append((float(rho), float(theta), int(votes[k])))
-        if len(peaks) >= max_candidates:
-            break
     return peaks
 
 
@@ -91,20 +89,20 @@ def refine_line(rho: float, theta_deg: float, xs: np.ndarray, ys: np.ndarray,
     return float(rho_new), float(theta_new)
 
 
-def trim_line_to_mask(rho: float, theta_deg: float, mask: np.ndarray,
+def trim_line_to_mask(rho: float, theta_deg: float, xs: np.ndarray,
+                      ys: np.ndarray, shape: tuple[int, int],
                       band_halfwidth: float, gap_bridge: int):
-    """Longest supported run of the line inside the image, or None.
+    """Longest supported run of the line inside a (height, width) image,
+    or None.
 
     Positions along the line (1 px steps) count as supported when some
-    mask pixel lies within band_halfwidth perpendicular distance; runs
-    may bridge unsupported stretches of up to gap_bridge positions.
+    mask pixel (xs, ys) lies within band_halfwidth perpendicular
+    distance; runs may bridge unsupported stretches of up to gap_bridge
+    positions.
     """
-    height, width = mask.shape
+    height, width = shape
     theta = math.radians(theta_deg)
     c, s = math.cos(theta), math.sin(theta)
-    ys, xs = np.nonzero(mask)
-    if len(xs) == 0:
-        return None
     offsets = xs * c + ys * s - rho
     near = np.abs(offsets) <= band_halfwidth
     if not near.any():
@@ -134,18 +132,18 @@ def trim_line_to_mask(rho: float, theta_deg: float, mask: np.ndarray,
 def lines_from_mask(mask: np.ndarray, cfg) -> list[LineSegment]:
     """Full voting pipeline from a binary mask to candidate segments,
     tuned by the Hough fields of `cfg` (a spotting.SpottingConfig)."""
-    if not mask.any():
+    ys, xs = np.nonzero(mask)
+    if len(xs) == 0:
         return []
-    acc, rhos, thetas = hough_accumulator(mask, cfg.hough_rho_res,
+    acc, rhos, thetas = hough_accumulator(xs, ys, mask.shape, cfg.hough_rho_res,
                                           cfg.hough_theta_res)
     peaks = find_peaks(acc, rhos, thetas, cfg.hough_min_votes, cfg.nms_rho,
                        cfg.nms_theta, cfg.max_candidates)
-    ys, xs = np.nonzero(mask)
     segments = []
     for rho, theta, votes in peaks:
         rho, theta = refine_line(rho, theta, xs, ys, cfg.band_halfwidth)
-        trimmed = trim_line_to_mask(rho, theta, mask, cfg.band_halfwidth,
-                                    cfg.gap_bridge)
+        trimmed = trim_line_to_mask(rho, theta, xs, ys, mask.shape,
+                                    cfg.band_halfwidth, cfg.gap_bridge)
         if trimmed is None:
             continue
         (x1, y1), (x2, y2) = trimmed

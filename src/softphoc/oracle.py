@@ -3,8 +3,7 @@
 Builds the exact scene tensor from ground truth and then optionally
 corrupts it: per-channel Gaussian blur, uniform confusion of character
 mass, and leakage of character mass into the background. All corruptions
-are deterministic; the seed is carried for interface stability and CLI
-round-tripping but the current corruption family does not draw from it.
+are deterministic.
 """
 
 import math
@@ -24,7 +23,6 @@ class NoiseConfig:
     blur_sigma: float = 0.0
     confusion_rate: float = 0.0
     background_leak: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self, (

@@ -139,11 +139,9 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)
-    best = None
-    for seg in candidates:
-        distance = dtw_distance(sample_line_descriptor(prob, seg), reference)
-        key = (distance, -seg.votes, seg.rho, seg.theta)
-        if best is None or key < best[0]:
-            best = (key, seg, distance)
-    return Detection(query=query, segment=best[1], dtw_distance=best[2],
+    scored = [(dtw_distance(sample_line_descriptor(prob, seg), reference), seg)
+              for seg in candidates]
+    distance, best = min(scored, key=lambda pair: (pair[0], -pair[1].votes,
+                                                   pair[1].rho, pair[1].theta))
+    return Detection(query=query, segment=best, dtw_distance=distance,
                      candidates_considered=len(candidates))

@@ -96,8 +96,10 @@ def test_criterion_02_normalization_invariants():
     for _ in range(20):
         cfg = NoiseConfig(blur_sigma=float(rng.uniform(0, 3)),
                           confusion_rate=float(rng.uniform(0, 1)),
-                          background_leak=float(rng.uniform(0, 1)),
-                          seed=int(rng.integers(0, 2**31)))
+                          background_leak=float(rng.uniform(0, 1)))
+        # NoiseConfig had a seed field that no corruption used; its draw is
+        # kept so the following configurations stay those of earlier runs
+        rng.integers(0, 2**31)
         out = simulate(scene, cfg)
         worst = max(worst, float(np.abs(out.sum(axis=2) - 1.0).max()))
     report(2, "per-pixel sums stay 1 +/- 1e-6 across the noise sweep",

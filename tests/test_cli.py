@@ -65,7 +65,7 @@ class TestSimulate:
         gt.write_text(GT_SINGLE)
         a, b = tmp_path / "a.sphoc", tmp_path / "b.sphoc"
         flags = ["--width", 160, "--height", 100, "--blur-sigma", 1.0,
-                 "--confusion-rate", 0.2, "--seed", 7]
+                 "--confusion-rate", 0.2]
         assert run(["simulate", gt, a, *flags]) == 0
         assert run(["simulate", gt, b, *flags]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -251,7 +251,6 @@ NOISE_FLAGS = {
     "--blur-sigma": ("blur_sigma", 0.5),
     "--confusion-rate": ("confusion_rate", 0.1),
     "--background-leak": ("background_leak", 0.05),
-    "--seed": ("seed", 9),
 }
 
 
@@ -304,14 +303,23 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
     ("simulate", "--confusion-rate", "-0.5"),
     ("simulate", "--confusion-rate", "nan"),
     ("simulate", "--blur-sigma", "-1"),
+    ("spot", "--jobs", "0"),
+    ("spot", "--jobs", "-3"),
+    ("encode", "--width", "-5"),
+    ("encode", "--width", "0"),
+    ("simulate", "--height", "0"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
-    gt, tensor, queries = hello_inputs(tmp_path)
-    if command == "spot":
-        argv = ["spot", tensor, queries, tmp_path / "d.tsv"]
-    else:
-        argv = ["simulate", gt, tmp_path / "n.sphoc", "--width", 160,
-                "--height", 100]
+    _, tensor, queries = hello_inputs(tmp_path)
+    # no words, so that no quad can be clamped to a bad size and fail first
+    empty_gt = tmp_path / "empty.txt"
+    empty_gt.write_text("")
+    size = ["--width", 160, "--height", 100]
+    argv = {
+        "spot": ["spot", tensor, queries, tmp_path / "d.tsv"],
+        "encode": ["encode", empty_gt, tmp_path / "e.sphoc", *size],
+        "simulate": ["simulate", empty_gt, tmp_path / "n.sphoc", *size],
+    }[command]
     assert run([*argv, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -331,3 +339,4 @@ def test_non_utf8_text_input_exits_2(tmp_path, capsys, command):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bad.txt" in err, err

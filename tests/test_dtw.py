@@ -64,10 +64,12 @@ def test_matches_exhaustive_path_enumeration():
 
 
 def test_antidiagonal_dp_matches_plain_dp():
-    # cross-check the vectorized wavefront against a literal two-loop DP
+    # cross-check the vectorized row updates against a literal two-loop DP,
+    # on random sizes and on long and lopsided ones
     rng = np.random.default_rng(23)
-    for _ in range(15):
-        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    sizes = [(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+             for _ in range(15)]
+    for n, m in sizes + [(400, 120), (120, 400), (1, 500)]:
         a = random_distribution_sequence(rng, n)
         b = random_distribution_sequence(rng, m)
         cost = cosine_cost_matrix(a, b)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from softphoc.hough import find_peaks
 from softphoc.spotting import SpottingConfig, hough_lines
 
 CFG = SpottingConfig()
@@ -27,6 +28,15 @@ def test_single_horizontal_run_recovered():
 
 def test_empty_mask_gives_no_candidates():
     assert hough_lines(np.zeros((50, 50), dtype=bool), CFG) == []
+
+
+def test_find_peaks_respects_the_candidate_cap():
+    acc = np.zeros((5, 4), dtype=np.int64)
+    acc[1, 1], acc[3, 3] = 30, 25
+    rhos, thetas = np.arange(5.0), np.arange(4.0)
+    peaks = [(1.0, 1.0, 30), (3.0, 3.0, 25)]
+    for cap in range(4):
+        assert find_peaks(acc, rhos, thetas, 20, 0.0, 0.0, cap) == peaks[:cap]
 
 
 def test_two_parallel_runs_survive_nms():

@@ -27,8 +27,7 @@ def test_full_confusion_flattens_characters_inside_words():
 
 def test_deterministic_for_fixed_seed():
     scene = make_scene()
-    cfg = NoiseConfig(blur_sigma=1.5, confusion_rate=0.3, background_leak=0.2,
-                      seed=42)
+    cfg = NoiseConfig(blur_sigma=1.5, confusion_rate=0.3, background_leak=0.2)
     a = simulate(scene, cfg)
     b = simulate(scene, cfg)
     assert np.array_equal(a, b)
