@@ -1,10 +1,11 @@
 """Command-line surface: encode, simulate, spot, eval.
 
 Exit codes: 0 success, 2 parse/validation errors (with the offending
-line where applicable; also out-of-range flag values and text inputs
-that are not UTF-8), 3 I/O errors, 4 empty query list. Diagnostics
-go to stderr; verbosity is controlled by the SPHOC_LOG environment
-variable (error, info or debug).
+line where applicable; also out-of-range flag values, text inputs
+that are not UTF-8 and maps that are not per-pixel distributions),
+3 I/O errors, 4 empty query list. Diagnostics go to stderr; verbosity
+is controlled by the SPHOC_LOG environment variable (error, info or
+debug).
 """
 
 import argparse
@@ -17,10 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
 from .bbox import line_to_bbox
-from .errors import SoftPhocError, check_fields
+from .errors import AnnotationParseError, SoftPhocError, check_fields
 from .evaluation import evaluate_bboxes, evaluate_lines
 from .oracle import NoiseConfig, simulate
-from .spotting import SpottingConfig, spot
+from .spotting import SpottingConfig, check_probability_map, spot
 
 log = logging.getLogger("softphoc")
 
@@ -111,12 +112,20 @@ def _cmd_simulate(ns) -> int:
 def _cmd_spot(ns) -> int:
     check_fields(ns, (("jobs", ns.jobs >= 1, ">= 1"),))
     cfg = _config(SpottingConfig, ns)
-    tensor = fileio.read_tensor(ns.tensor)
-    queries = [line.strip() for line in fileio.read_text(ns.queries).split("\n")
-               if line.strip()]
+    queries = []
+    for lineno, line in enumerate(fileio.read_text(ns.queries).split("\n"), start=1):
+        query = line.strip()
+        if "\t" in query:
+            raise AnnotationParseError(
+                f"{ns.queries}: line {lineno}: query may not contain tabs",
+                line_number=lineno)
+        if query:
+            queries.append(query)
     if not queries:
         print("error: query list is empty", file=sys.stderr)
         return EXIT_NO_QUERIES
+    tensor = fileio.read_tensor(ns.tensor)
+    check_probability_map(tensor)
 
     height, width = tensor.shape[:2]
 

@@ -19,6 +19,13 @@ def cosine_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(cost, 0.0)
 
 
+def _sequence(seq) -> np.ndarray:
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim != 2 or seq.shape[0] == 0:
+        raise EmptySequence("both sequences need at least one sample")
+    return seq
+
+
 def dtw_distance(a, b) -> float:
     """Normalized DTW distance between two descriptor sequences.
 
@@ -26,24 +33,43 @@ def dtw_distance(a, b) -> float:
     (i-1, j), (i, j-1) and (i-1, j-1); the accumulated cost of the
     optimal monotone alignment is divided by (|a| + |b|) so scores are
     comparable across sequence lengths. Symmetric in its arguments.
+    """
+    return float(dtw_distances([a], b)[0])
 
-    Each row of the cost matrix is one vectorized update: with
+
+def dtw_distances(samples, reference) -> np.ndarray:
+    """dtw_distance(s, reference) for every sequence s in samples.
+
+    Each row of a cost matrix is one vectorized update: with
     u = c_i + min(D[i-1, j], D[i-1, j-1]) and S = cumsum(c_i), the row is
     D[i] = S + minimum.accumulate(u - S), the running minimum carrying
-    the move (i, j-1).
+    the move (i, j-1). All K sequences advance together as a (K, |reference|)
+    state over their stacked cost matrices, shorter ones padded at the
+    bottom; sequence k's distance is read at its own last row, so each
+    result is bit-identical to a run on that sequence alone.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptySequence("both sequences need at least one sample")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"channel counts differ: {a.shape[1]} vs {b.shape[1]}")
+    reference = _sequence(reference)
+    samples = [_sequence(s) for s in samples]
+    if not samples:
+        raise EmptySequence("need at least one sequence to compare")
+    for seq in samples:
+        if seq.shape[1] != reference.shape[1]:
+            raise ShapeMismatch(f"channel counts differ: {seq.shape[1]} vs "
+                                f"{reference.shape[1]}")
 
-    cost = cosine_cost_matrix(a, b)
-    n, m = cost.shape
-    acc = np.cumsum(cost[0])  # first row: only the move (i, j-1)
-    for c in cost[1:]:
-        u = c + np.minimum(acc, np.concatenate(([np.inf], acc[:-1])))
-        s = np.cumsum(c)
-        acc = s + np.minimum.accumulate(u - s)
-    return float(acc[-1]) / (n + m)
+    lengths = np.array([len(seq) for seq in samples])
+    k, m = len(samples), len(reference)
+    cost = np.zeros((lengths.max(), k, m))
+    for j, seq in enumerate(samples):
+        cost[:len(seq), j] = cosine_cost_matrix(seq, reference)
+    last = np.empty(k)
+    inf_column = np.full((k, 1), np.inf)
+    acc = np.cumsum(cost[0], axis=1)  # first row: only the move (i, j-1)
+    for i, c in enumerate(cost):
+        if i:
+            u = c + np.minimum(acc, np.concatenate((inf_column, acc[:, :-1]), axis=1))
+            s = np.cumsum(c, axis=1)
+            acc = s + np.minimum.accumulate(u - s, axis=1)
+        ends = lengths == i + 1
+        last[ends] = acc[ends, -1]
+    return last / (lengths + m)

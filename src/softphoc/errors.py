@@ -44,6 +44,11 @@ def check_fields(cfg, checks) -> None:
             raise InvalidConfig(f"{name} {getattr(cfg, name)} must be {rule}")
 
 
+class InvalidProbabilityMap(SoftPhocError):
+    """Map with values outside [0, 1], not finite, or pixels whose
+    channels do not sum to 1."""
+
+
 class TensorFormatError(SoftPhocError):
     """Malformed tensor file header or truncated payload."""
 

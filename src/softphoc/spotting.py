@@ -6,6 +6,10 @@ relative to its peak response, propose candidate text lines with the
 Hough transform, sample the probability map along each candidate, and
 rank candidates by DTW distance against the query's own fixed-width
 descriptor.
+
+Each query reads the whole map once: the heatmap walks it in blocks of
+about HEATMAP_BLOCK_BYTES of rows, forming every pair product of a block
+while it is in cache, and all candidates are scored in one DTW pass.
 """
 
 import math
@@ -14,12 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alphabet, hough
-from .dtw import dtw_distance
+# dtw_distance is unused here but stays bound: perfbench/selftest.py
+# checks that the tracer wraps it on this module.
+from .dtw import dtw_distance, dtw_distances  # noqa: F401
 from .encoder import encode_word
-from .errors import (DegenerateSegment, EmptyTranscription, SoftPhocError,
-                     check_fields)
+from .errors import (DegenerateSegment, EmptyTranscription,
+                     InvalidProbabilityMap, SoftPhocError, check_fields)
 from .geometry import LineSegment
 from .warp import bilinear_sample
+
+# Rows of the map read together by bigram_heatmap: about this many bytes,
+# at least one row.
+HEATMAP_BLOCK_BYTES = 1 << 20
+# Largest allowed |sum - 1| of a pixel's channels in a probability map.
+MAP_SUM_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,15 +81,39 @@ def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
 
     For "text" this is P(t)P(e) + P(e)P(x) + P(x)P(t); repeated pairs
     reuse the same channel. Single-character queries fall back to the
-    character's own channel.
+    character's own channel. The map is read in blocks of whole rows of
+    about HEATMAP_BLOCK_BYTES, each block once for all pairs; every pixel
+    sums the same float64 products in the same order as a pair-by-pair
+    pass over the whole map would.
     """
     classes = alphabet.transcription_to_classes(query)
     if len(classes) == 1:
         return np.array(prob[..., classes[0]], dtype=np.float64)
-    heat = np.zeros(prob.shape[:2], dtype=np.float64)
-    for a, b in zip(classes[:-1], classes[1:]):
-        heat += prob[..., a].astype(np.float64) * prob[..., b].astype(np.float64)
+    height, width, channels = prob.shape
+    rows = max(1, HEATMAP_BLOCK_BYTES // max(1, width * channels * prob.itemsize))
+    heat = np.zeros((height, width), dtype=np.float64)
+    for top in range(0, height, rows):
+        block = prob[top:top + rows]
+        out = heat[top:top + rows]
+        for a, b in zip(classes[:-1], classes[1:]):
+            out += block[..., a].astype(np.float64) * block[..., b].astype(np.float64)
     return heat
+
+
+def check_probability_map(prob: np.ndarray) -> None:
+    """Raise InvalidProbabilityMap unless every value is finite and in
+    [0, 1] and each pixel's channels sum to 1 within MAP_SUM_TOLERANCE."""
+    if prob.size == 0:
+        return
+    low, high = prob.min(), prob.max()
+    if not (0.0 <= low and high <= 1.0):  # also false for NaN
+        raise InvalidProbabilityMap(
+            f"map values must be finite and in [0, 1], found [{low}, {high}]")
+    deviation = np.abs(prob.sum(axis=-1) - 1.0).max()
+    if deviation > MAP_SUM_TOLERANCE:
+        raise InvalidProbabilityMap(
+            f"per-pixel channel sums must be within {MAP_SUM_TOLERANCE} of 1, "
+            f"found {deviation:.3g} away")
 
 
 def threshold_mask(heatmap: np.ndarray, threshold: float) -> np.ndarray:
@@ -126,12 +162,15 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     of a trained predictor, so the threshold is interpreted as a
     fraction of the strongest response. Candidates are ranked by DTW
     distance; ties fall back to more Hough votes, then smaller rho,
-    then smaller theta.
+    then smaller theta. A map whose heatmap peak is not finite raises
+    InvalidProbabilityMap; check_probability_map checks the whole map.
     """
     if not query:
         raise EmptyTranscription("query must be non-empty")
     heat = bigram_heatmap(prob, query)
     peak = float(heat.max()) if heat.size else 0.0
+    if not math.isfinite(peak):
+        raise InvalidProbabilityMap(f"heatmap peak of {query!r} is {peak}")
     if peak <= 0.0:
         return None
     mask = threshold_mask(heat / peak, cfg.heatmap_threshold)
@@ -139,9 +178,10 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)
-    scored = [(dtw_distance(sample_line_descriptor(prob, seg), reference), seg)
-              for seg in candidates]
-    distance, best = min(scored, key=lambda pair: (pair[0], -pair[1].votes,
-                                                   pair[1].rho, pair[1].theta))
+    distances = dtw_distances(
+        [sample_line_descriptor(prob, seg) for seg in candidates], reference)
+    distance, best = min(zip(distances.tolist(), candidates),
+                         key=lambda pair: (pair[0], -pair[1].votes,
+                                           pair[1].rho, pair[1].theta))
     return Detection(query=query, segment=best, dtw_distance=distance,
                      candidates_considered=len(candidates))

@@ -340,3 +340,35 @@ def test_non_utf8_text_input_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "bad.txt" in err, err
+
+
+def test_query_with_tab_rejected_before_the_map_is_read(tmp_path, capsys):
+    queries = tmp_path / "q.txt"
+    queries.write_text("DIRECTORY\nab\tc\n")
+    out = tmp_path / "d.tsv"
+    # the map does not exist: the query file is checked first
+    assert run(["spot", tmp_path / "missing.sphoc", queries, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "q.txt" in err and "line 2" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "negative"])
+def test_map_that_is_not_a_distribution_exits_2(tmp_path, capsys, corrupt):
+    prob = embed_scene(quad_scene("hello")).astype(np.float32)
+    if corrupt == "nan":
+        prob[:] = np.nan
+    else:
+        # every pixel still sums to 1
+        prob[40, :, 5] -= 1.0
+        prob[40, :, 6] += 1.0
+    tensor = tmp_path / "bad.sphoc"
+    write_tensor(tensor, prob)
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\n")
+    out = tmp_path / "d.tsv"
+    assert run(["spot", tensor, queries, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softphoc.dtw import cosine_cost_matrix, dtw_distance
+from softphoc.dtw import cosine_cost_matrix, dtw_distance, dtw_distances
 from softphoc.errors import EmptySequence, ShapeMismatch
 
 from oracles import oracle_cosine_cost, oracle_dtw
@@ -80,3 +80,28 @@ def test_antidiagonal_dp_matches_plain_dp():
                 acc[i, j] = cost[i - 1, j - 1] + min(
                     acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
         assert dtw_distance(a, b) == pytest.approx(acc[n, m] / (n + m), abs=1e-12)
+
+
+def test_batch_matches_one_at_a_time():
+    rng = np.random.default_rng(29)
+    reference = random_distribution_sequence(rng, 40)
+    samples = [random_distribution_sequence(rng, n)
+               for n in (1, 57, 3, 1, 120, 40, 2)]
+    samples.append(np.zeros((5, 38)))  # zero-norm rows cost 1
+    distances = dtw_distances(samples, reference)
+    assert distances.shape == (len(samples),)
+    assert distances.tolist() == [dtw_distance(s, reference) for s in samples]
+    assert dtw_distances([reference], samples[0]).tolist() == \
+        [dtw_distance(reference, samples[0])]
+
+
+def test_batch_rejects_bad_sequences():
+    good = np.zeros((3, 38))
+    with pytest.raises(EmptySequence):
+        dtw_distances([good, np.zeros((0, 38))], good)
+    with pytest.raises(EmptySequence):
+        dtw_distances([good], np.zeros((0, 38)))
+    with pytest.raises(EmptySequence):
+        dtw_distances([], good)
+    with pytest.raises(ShapeMismatch):
+        dtw_distances([good, np.zeros((2, 37))], good)

@@ -5,11 +5,12 @@ from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.errors import (DegenerateSegment, EmptyTranscription,
-                             SoftPhocError)
+                             InvalidProbabilityMap, SoftPhocError)
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
 from softphoc.oracle import simulate
-from softphoc.spotting import (SpottingConfig, bigram_heatmap,
+from softphoc.spotting import (HEATMAP_BLOCK_BYTES, SpottingConfig,
+                               bigram_heatmap, check_probability_map,
                                query_descriptor, sample_line_descriptor, spot,
                                threshold_mask)
 
@@ -67,6 +68,27 @@ class TestBigramHeatmap:
         prob = rng.random((5, 5, 38))
         assert not np.allclose(bigram_heatmap(prob, "listen"),
                                bigram_heatmap(prob, "silent"))
+
+    # (height, width): a single row, a few rows, a height that is not a
+    # multiple of the row block, rows wider than a block, and empty maps
+    @pytest.mark.parametrize("height, width", [
+        (1, 30), (7, 30), (721, 40),
+        (3, HEATMAP_BLOCK_BYTES // (38 * 4) + 1), (0, 30), (5, 0)])
+    @pytest.mark.parametrize("query", ["DIRECTORY", "k", "aaaa", "abab"])
+    def test_row_blocks_match_whole_map_products(self, height, width, query):
+        rng = np.random.default_rng(height * 31 + width)
+        prob = rng.random((height, width, 38), dtype=np.float32)
+        classes = [classify_char(ch) for ch in query]
+        if len(classes) == 1:
+            expected = prob[..., classes[0]].astype(np.float64)
+        else:
+            expected = np.zeros((height, width))
+            for a, b in zip(classes[:-1], classes[1:]):
+                expected += (prob[..., a].astype(np.float64)
+                             * prob[..., b].astype(np.float64))
+        heat = bigram_heatmap(prob, query)
+        assert heat.dtype == np.float64
+        assert np.array_equal(heat, expected)
 
 
 class TestThresholdMask:
@@ -196,3 +218,35 @@ class TestSpot:
     def test_empty_query_rejected(self):
         with pytest.raises(EmptyTranscription):
             spot(np.zeros((4, 4, 38)), "")
+
+    def test_non_finite_map_rejected(self):
+        with pytest.raises(InvalidProbabilityMap):
+            spot(np.full((6, 8, 38), np.nan, dtype=np.float32), "abc")
+
+    @pytest.mark.parametrize("shape", [(0, 8, 38), (6, 0, 38)])
+    def test_empty_map_not_found(self, shape):
+        assert spot(np.zeros(shape, dtype=np.float32), "abc") is None
+
+
+class TestCheckProbabilityMap:
+    def test_simulated_map_passes(self):
+        scene = anagram_scene(np.random.default_rng(5))
+        check_probability_map(simulate(scene))
+        check_probability_map(np.zeros((0, 4, 38), dtype=np.float32))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+    def test_out_of_range_value_rejected(self, value):
+        prob = np.zeros((3, 4, 38), dtype=np.float32)
+        prob[..., 0] = 1.0
+        prob[1, 2, 5] = value
+        with pytest.raises(InvalidProbabilityMap):
+            check_probability_map(prob)
+
+    def test_sum_tolerance(self):
+        prob = np.zeros((3, 4, 38), dtype=np.float32)
+        prob[..., 0] = 1.0
+        prob[2, 1, 3] = 5e-4
+        check_probability_map(prob)
+        prob[2, 1, 3] = 2e-3
+        with pytest.raises(InvalidProbabilityMap):
+            check_probability_map(prob)
