@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateQuad, EmptyTranscription
-from .geometry import quad_area
+from .geometry import quad_area, quad_is_convex_clockwise
 
 
 @dataclass
@@ -25,6 +25,9 @@ class WordAnnotation:
             raise EmptyTranscription("word annotation needs a transcription")
         if quad_area(self.quad) <= 0.0:
             raise DegenerateQuad(f"quad of {self.transcription!r} has zero area")
+        if not quad_is_convex_clockwise(self.quad):
+            raise DegenerateQuad(f"quad of {self.transcription!r} is counter-clockwise,"
+                                 " non-convex or self-intersecting")
 
 
 @dataclass

@@ -92,6 +92,16 @@ def word_crop_size(word: WordAnnotation) -> tuple[int, int]:
     return width, height
 
 
+def word_box(word: WordAnnotation, image_width: int, image_height: int):
+    """(x0, y0, x1, y1): the quad's pixel bounding box, inclusive and
+    clipped to the image. Only these pixels can receive the word's mass."""
+    x0 = int(np.clip(np.floor(word.quad[:, 0].min()), 0, image_width - 1))
+    x1 = int(np.clip(np.ceil(word.quad[:, 0].max()), 0, image_width - 1))
+    y0 = int(np.clip(np.floor(word.quad[:, 1].min()), 0, image_height - 1))
+    y1 = int(np.clip(np.ceil(word.quad[:, 1].max()), 0, image_height - 1))
+    return x0, y0, x1, y1
+
+
 def _warp_word(word, image_width, image_height, crop=None):
     """Inverse-map a word quad onto the scene grid.
 
@@ -105,10 +115,7 @@ def _warp_word(word, image_width, image_height, crop=None):
     rect = np.array([[0.0, 0.0], [crop_w, 0.0], [crop_w, crop_h], [0.0, crop_h]])
     h_inv = homography(word.quad, rect)
 
-    x0 = int(np.clip(np.floor(word.quad[:, 0].min()), 0, image_width - 1))
-    x1 = int(np.clip(np.ceil(word.quad[:, 0].max()), 0, image_width - 1))
-    y0 = int(np.clip(np.floor(word.quad[:, 1].min()), 0, image_height - 1))
-    y1 = int(np.clip(np.ceil(word.quad[:, 1].max()), 0, image_height - 1))
+    x0, y0, x1, y1 = word_box(word, image_width, image_height)
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
 
     u, v, valid = apply_homography(h_inv, xs.astype(float), ys.astype(float))
@@ -139,6 +146,7 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
     """
     out = np.zeros((scene.image_height, scene.image_width, alphabet.NUM_CLASSES),
                    dtype=np.float32)
+    out[..., 0] = 1.0
     claimed = np.zeros(out.shape[:2], dtype=bool)
     for word in scene.words:
         crop_w, crop_h = word_crop_size(word)
@@ -152,11 +160,13 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
         claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
 
     # Bilinear edges can leak mass: renormalize claimed pixels over the
-    # character channels, and make everything else pure background.
-    char_sum = out[..., 1:].sum(axis=-1)
-    safe = claimed & (char_sum > 0)
-    out[safe, 1:] /= char_sum[safe, None]
-    out[safe, 0] = 0.0
-    out[~safe] = 0.0
-    out[~safe, 0] = 1.0
+    # character channels (one whose character channels are all 0 goes
+    # back to background). Unclaimed pixels keep the one-hot set above.
+    ys, xs = np.nonzero(claimed)
+    px = out[ys, xs]
+    char_sum = px[:, 1:].sum(axis=-1)
+    safe = char_sum > 0
+    px[safe, 1:] /= char_sum[safe, None]
+    px[:, 0] = ~safe
+    out[ys, xs] = px
     return out

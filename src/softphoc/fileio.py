@@ -20,6 +20,7 @@ where status is "found" or "not-found" (placeholders "-" fill the
 numeric columns of not-found records).
 """
 
+import os
 import struct
 
 import numpy as np
@@ -48,10 +49,13 @@ def write_tensor(path, tensor: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<III", height, width, channels))
-        fh.write(payload.tobytes())
+        fh.write(payload.data)
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file into one writable float32 array. The header's
+    payload size is checked against the file size before any payload is
+    read, so a lying header allocates nothing."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
@@ -62,13 +66,15 @@ def read_tensor(path) -> np.ndarray:
         height, width, channels = struct.unpack("<III", header)
         if channels != alphabet.NUM_CLASSES:
             raise TensorFormatError(f"expected 38 channels, found {channels}")
-        expected = height * width * channels * 4
-        payload = fh.read()
-    if len(payload) != expected:
-        raise TensorFormatError(
-            f"payload is {len(payload)} bytes, header promises {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(height, width, channels)
-    return data.astype(np.float32)  # writable, native byte order
+        count = height * width * channels
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != 4 * count:
+            raise TensorFormatError(
+                f"payload is {found} bytes, header promises {4 * count}")
+        data = np.fromfile(fh, dtype="<f4", count=count)
+    if data.size != count:  # the file shrank while being read
+        raise TensorFormatError("truncated payload")
+    return data.reshape(height, width, channels).astype(np.float32, copy=False)
 
 
 def read_text(path) -> str:

@@ -68,11 +68,28 @@ class LineSegment:
         return cls(x1, y1, x2, y2, rho, theta, votes).canonical()
 
 
-def quad_area(quad: np.ndarray) -> float:
-    """Absolute shoelace area of a 4-point polygon."""
+def quad_signed_area(quad: np.ndarray) -> float:
+    """Shoelace area of a 4-point polygon, positive when its vertices run
+    clockwise on screen (image coordinates, y pointing down)."""
     q = np.asarray(quad, dtype=float)
     x, y = q[:, 0], q[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def quad_area(quad: np.ndarray) -> float:
+    """Absolute shoelace area of a 4-point polygon."""
+    return abs(quad_signed_area(quad))
+
+
+def quad_is_convex_clockwise(quad: np.ndarray) -> bool:
+    """Positive signed area and no edge turning counter-clockwise on
+    screen: true for a convex quad ordered clockwise, false for a
+    counter-clockwise, non-convex or self-intersecting one. Collinear
+    vertices are allowed."""
+    q = np.asarray(quad, dtype=float)
+    e = np.roll(q, -1, axis=0) - q
+    turns = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    return quad_signed_area(q) > 0.0 and bool(np.all(turns >= 0.0))
 
 
 def quad_mean_side_lengths(quad: np.ndarray) -> tuple[float, float]:

@@ -4,6 +4,18 @@ Builds the exact scene tensor from ground truth and then optionally
 corrupts it: per-channel Gaussian blur, uniform confusion of character
 mass, and leakage of character mass into the background. All corruptions
 are deterministic.
+
+Only pixels within the blur radius r of a word's pixel box can change:
+a pure-background pixel with only pure background within r leaves every
+corruption exactly as it came (character channels 0, background s / s =
+1). So the corruption runs on merged windows, each the word boxes grown
+by r, and never on the rest of the image. The result is bit-identical to
+corrupting the whole image: the filter's per-pixel sums do not depend on
+the array's extent, a window cut by the image keeps the image's
+reflecting edge, and at any other window edge the reflection brings in
+pure background, which is what lies beyond it, because a word box within
+r of a window would have merged into it. Cost and memory scale with the
+text area, not the image.
 """
 
 import math
@@ -14,8 +26,10 @@ from scipy.ndimage import gaussian_filter
 
 from . import alphabet
 from .annotations import SceneAnnotation
-from .encoder import embed_scene
+from .encoder import embed_scene, word_box
 from .errors import check_fields
+
+TRUNCATE = 4.0  # kernel radius in sigmas, shared by the filter and the windows
 
 
 @dataclass(frozen=True)
@@ -45,15 +59,45 @@ def simulate(scene: SceneAnnotation, cfg: NoiseConfig = NoiseConfig()) -> np.nda
     cfg.confusion_rate of each pixel's character mass by a uniform
     spread over the 37 character channels, move cfg.background_leak of
     the character mass to the background channel, then renormalize so
-    every pixel stays a valid distribution.
+    every pixel stays a valid distribution. This runs only on merged
+    windows reaching the blur radius past the word boxes (see the module
+    docstring), with the same result as running it on the whole image.
     """
-    clean = embed_scene(scene)
+    out = embed_scene(scene)
     if cfg.is_identity:
-        return clean
+        return out
+    r = int(TRUNCATE * cfg.blur_sigma + 0.5) if cfg.blur_sigma > 0.0 else 0
+    for y0, y1, x0, x1 in _windows(scene, r):
+        out[y0:y1, x0:x1] = _corrupt(out[y0:y1, x0:x1].astype(np.float64), cfg)
+    return out
 
-    x = clean.astype(np.float64)
+
+def _windows(scene: SceneAnnotation, r: int) -> list[tuple[int, int, int, int]]:
+    """Half-open (y0, y1, x0, x1) boxes: each word's pixel box grown by r
+    and clipped to the image. Overlapping boxes merge into their bounding
+    box until none overlap: exactness needs every word box within r of a
+    window inside it, and the total area never exceeds the image's."""
+    h, w = scene.image_height, scene.image_width
+    merged = []
+    for word in scene.words:
+        x0, y0, x1, y1 = word_box(word, w, h)
+        box = max(y0 - r, 0), min(y1 + 1 + r, h), max(x0 - r, 0), min(x1 + 1 + r, w)
+        while hit := next((m for m in merged if _overlap(box, m)), None):
+            merged.remove(hit)
+            box = tuple(f(a, b) for f, a, b in zip((min, max, min, max), box, hit))
+        merged.append(box)
+    return merged
+
+
+def _overlap(a, b) -> bool:
+    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+
+
+def _corrupt(x: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
+    """Blur, confusion, leak and renormalization of a float64 block."""
     if cfg.blur_sigma > 0.0:
-        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
+        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0),
+                            truncate=TRUNCATE)
     if cfg.confusion_rate > 0.0:
         char = x[..., 1:]
         mass = char.sum(axis=-1, keepdims=True)
@@ -65,4 +109,4 @@ def simulate(scene: SceneAnnotation, cfg: NoiseConfig = NoiseConfig()) -> np.nda
         x[..., 1:] = (1.0 - cfg.background_leak) * char
         x[..., 0] += cfg.background_leak * mass
     x /= x.sum(axis=-1, keepdims=True)
-    return x.astype(np.float32)
+    return x

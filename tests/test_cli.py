@@ -13,8 +13,8 @@ from softphoc import cli
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.cli import main
 from softphoc.encoder import embed_scene
-from softphoc.fileio import read_tensor, write_tensor
-from softphoc.oracle import NoiseConfig
+from softphoc.fileio import load_annotations, read_tensor, write_tensor
+from softphoc.oracle import NoiseConfig, simulate
 from softphoc.spotting import SpottingConfig
 
 GT_SINGLE = "20,30,90,30,90,46,20,46,CARPARK\n"
@@ -58,6 +58,17 @@ class TestEncode:
         assert run(["encode", tmp_path / "nope.txt", tmp_path / "o.sphoc",
                     "--width", 10, "--height", 10]) == 3
 
+    @pytest.mark.parametrize("coords", ["10,10,10,30,90,30,90,10",
+                                        "10,10,90,10,50,15,10,30"])
+    def test_counter_clockwise_or_concave_quad_exits_2(self, tmp_path, capsys, coords):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"{GT_SINGLE}{coords},word\n")
+        out = tmp_path / "scene.sphoc"
+        assert run(["encode", gt, out, "--width", 160, "--height", 100]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "non-convex" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_fixed_seed_is_byte_identical(self, tmp_path):
@@ -77,6 +88,17 @@ class TestSimulate:
         assert run(["encode", gt, enc, "--width", 160, "--height", 100]) == 0
         assert run(["simulate", gt, sim, "--width", 160, "--height", 100]) == 0
         assert enc.read_bytes() == sim.read_bytes()
+
+    def test_writes_the_bytes_of_library_simulate(self, tmp_path):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(GT_SINGLE + "100,60,150,60,150,76,100,76,EXIT\n")
+        out, ref = tmp_path / "cli.sphoc", tmp_path / "lib.sphoc"
+        assert run(["simulate", gt, out, "--width", 160, "--height", 100,
+                    "--blur-sigma", 1.5, "--confusion-rate", 0.2,
+                    "--background-leak", 0.1]) == 0
+        scene = load_annotations(gt, 160, 100)
+        write_tensor(ref, simulate(scene, NoiseConfig(1.5, 0.2, 0.1)))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_confused_output_still_normalized(self, tmp_path):
         gt = tmp_path / "gt.txt"

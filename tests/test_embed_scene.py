@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from softphoc import encoder
 from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, encode_word, scene_coverage_mask
@@ -80,3 +81,53 @@ def test_rank_deficient_quad_is_rejected():
     quad = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0]])
     with pytest.raises(DegenerateQuad):
         homography(quad, np.array([[0, 0], [10, 0], [10, 10], [0, 10]]))
+
+
+def whole_image_embed(scene):
+    """embed_scene with its finalisation written as whole-image passes."""
+    w, h = scene.image_width, scene.image_height
+    out = np.zeros((h, w, 38), dtype=np.float32)
+    claimed = np.zeros((h, w), dtype=bool)
+    for word in scene.words:
+        crop = encoder.encode_word(word.transcription, *encoder.word_crop_size(word))
+        x0, y0, covered, samples = encoder._warp_word(word, w, h, crop=crop)
+        take = covered & (samples[..., 1:].sum(axis=-1) > encoder.MASS_EPS)
+        block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
+        block[take] = samples[take].astype(np.float32)
+        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
+    char_sum = out[..., 1:].sum(axis=-1)
+    safe = claimed & (char_sum > 0)
+    out[safe, 1:] /= char_sum[safe, None]
+    out[safe, 0] = 0.0
+    out[~safe] = 0.0
+    out[~safe, 0] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_claimed_only_finalisation_matches_whole_image_passes(seed):
+    # negative separation: words overlap and later ones overwrite
+    scene = random_scene(np.random.default_rng(seed), image_size=(200, 150),
+                         n_words=6, separation=-12.0)
+    assert np.array_equal(embed_scene(scene), whole_image_embed(scene))
+
+
+def test_unclaimed_covered_pixels_keep_the_earlier_word(monkeypatch):
+    # Crops whose left half carries no mass: those covered pixels have
+    # warped mass <= MASS_EPS, so they stay background or keep the
+    # earlier word's values.
+    real = encoder.encode_word
+
+    def half_empty(transcription, width, height):
+        crop = real(transcription, width, height)
+        crop[:, :width // 2] = 0.0
+        return crop
+
+    monkeypatch.setattr(encoder, "encode_word", half_empty)
+    first = WordAnnotation(box_quad(10, 10, 50, 20), "aaaa")
+    second = WordAnnotation(box_quad(30, 8, 70, 22), "bbbb")
+    tilted = WordAnnotation(rotated_rect_quad(60, 40, 50, 12, 30.0), "cdef")
+    scene = SceneAnnotation(90, 64, [first, second, tilted])
+    t = embed_scene(scene)
+    assert np.array_equal(t, whole_image_embed(scene))
+    assert np.all(t[12:18, 32:48, classify_char("a")] == 1.0)  # under second's empty half

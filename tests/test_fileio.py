@@ -1,13 +1,36 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softphoc.annotations import WordAnnotation, clamp_quad
 from softphoc.bbox import BoundingBox
-from softphoc.errors import AnnotationParseError, TensorFormatError
-from softphoc.fileio import (format_detection_record, parse_annotations,
-                             read_detections, read_tensor, write_detections,
-                             write_tensor)
+from softphoc.errors import AnnotationParseError, DegenerateQuad, TensorFormatError
+from softphoc.fileio import (TENSOR_MAGIC, format_detection_record,
+                             parse_annotations, read_detections, read_tensor,
+                             write_detections, write_tensor)
 from softphoc.geometry import LineSegment
 from softphoc.spotting import Detection
+
+from scenegen import rotated_rect_quad
+
+
+def header(height, width, channels=38):
+    return TENSOR_MAGIC + struct.pack("<III", height, width, channels)
+
+
+def peak_bytes_of_failed_read(path):
+    """Peak traced allocation while read_tensor rejects `path`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFormatError):
+            read_tensor(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTensorFile:
@@ -41,6 +64,31 @@ class TestTensorFile:
         path.write_bytes(data[:-8])
         with pytest.raises(TensorFormatError):
             read_tensor(path)
+
+    def test_truncated_payload_of_large_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        path.write_bytes(header(400, 400) + b"\x00" * 64)  # promises 24 MB
+        assert peak_bytes_of_failed_read(path) < 1 << 20
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.zeros((2, 3, 38), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        assert peak_bytes_of_failed_read(path) < 1 << 20
+
+    def test_header_alone_promising_60000_squared_allocates_nothing(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        path.write_bytes(header(60000, 60000))
+        assert path.stat().st_size == 20
+        assert peak_bytes_of_failed_read(path) < 1 << 20
+
+    def test_read_array_is_writable_float32(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.full((3, 2, 38), 0.5))  # float64 in, f32 on disk
+        back = read_tensor(path)
+        assert back.dtype == np.float32 and back.flags.writeable
+        assert path.stat().st_size == 20 + 3 * 2 * 38 * 4
+        back[0, 0, 0] = 1.0
 
     def test_wrong_channel_count_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError):
@@ -94,6 +142,41 @@ class TestAnnotationParsing:
         scene = parse_annotations("0,0,30,0,30,15,0,15,word\n")
         assert scene.image_width == 30
         assert scene.image_height == 15
+
+
+    @pytest.mark.parametrize("coords", [
+        "10,10,10,30,90,30,90,10",  # counter-clockwise on screen
+        "10,10,90,10,50,15,10,30",  # concave
+        "10,10,90,20,90,10,10,40",  # self-intersecting, positive area
+    ])
+    def test_misordered_or_non_convex_quad_names_its_line(self, coords):
+        text = f"0,0,40,0,40,10,0,10,ok\n{coords},word\n"
+        with pytest.raises(AnnotationParseError) as err:
+            parse_annotations(text, 100, 40)
+        assert err.value.line_number == 2
+        with pytest.raises(DegenerateQuad):
+            WordAnnotation(np.array(coords.split(","), dtype=float), "word")
+
+    def test_collinear_vertex_allowed_while_area_is_positive(self):
+        # a triangle with a vertex on one edge, as clamping can produce
+        scene = parse_annotations("0,0,20,0,40,0,0,30,tri\n", 50, 40)
+        assert len(scene.words) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(cx=st.floats(-60, 260), cy=st.floats(-60, 200),
+       width=st.floats(2, 300), height=st.floats(2, 80),
+       angle=st.floats(-180, 180), image=st.tuples(st.integers(1, 200),
+                                                   st.integers(1, 140)))
+def test_clockwise_rotated_rectangles_are_accepted(cx, cy, width, height, angle, image):
+    quad = rotated_rect_quad(cx, cy, width, height, angle)
+    WordAnnotation(quad, "word")
+    clamped = clamp_quad(quad, *image)
+    try:
+        WordAnnotation(clamped, "word")
+    except DegenerateQuad as exc:
+        # clamping may squash a quad lying outside the image to zero area
+        assert "zero area" in str(exc)
 
 
 class TestDetectionRecords:

@@ -1,5 +1,9 @@
 import numpy as np
+import pytest
+from scipy.ndimage import gaussian_filter
 
+from softphoc import alphabet, oracle
+from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.oracle import NoiseConfig, simulate
 
@@ -44,3 +48,93 @@ def test_outputs_stay_distributions_across_configs():
         sums = out.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         assert out.min() >= 0.0
+
+
+def whole_image_simulate(scene, cfg):
+    """The corruption written out over the whole image at once."""
+    x = embed_scene(scene).astype(np.float64)
+    if cfg.blur_sigma > 0.0:
+        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
+    if cfg.confusion_rate > 0.0:
+        char = x[..., 1:]
+        mass = char.sum(axis=-1, keepdims=True)
+        uniform = mass / alphabet.NUM_CHAR_CLASSES
+        x[..., 1:] = (1.0 - cfg.confusion_rate) * char + cfg.confusion_rate * uniform
+    if cfg.background_leak > 0.0:
+        char = x[..., 1:]
+        mass = char.sum(axis=-1)
+        x[..., 1:] = (1.0 - cfg.background_leak) * char
+        x[..., 0] += cfg.background_leak * mass
+    x /= x.sum(axis=-1, keepdims=True)
+    return x.astype(np.float32)
+
+
+def box_word(x0, y0, x1, y1, text):
+    return WordAnnotation(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]],
+                                   dtype=float), text)
+
+
+# Words touching the left, top, right and bottom image borders.
+BORDER_SCENE = SceneAnnotation(160, 120, [
+    box_word(0, 40, 30, 56, "left"), box_word(50, 0, 100, 14, "top"),
+    box_word(125, 60, 160, 76, "right"), box_word(60, 104, 110, 120, "bottom")])
+# Boxes 7 px apart: their windows overlap for r >= 4 (sigma 1.5 gives r = 6).
+NEAR_PAIR_SCENE = SceneAnnotation(200, 80, [
+    box_word(20, 30, 80, 46, "near"), box_word(88, 30, 150, 46, "pair")])
+EMPTY_SCENE = SceneAnnotation(90, 70, [])
+
+
+def noisy(sigma):
+    return NoiseConfig(blur_sigma=sigma, confusion_rate=0.2, background_leak=0.1)
+
+
+@pytest.mark.parametrize("scene_name", ["random", "overlapping", "border",
+                                        "near-pair", "empty"])
+@pytest.mark.parametrize("cfg", [
+    noisy(0.0), noisy(0.3), noisy(1.5), noisy(3.3),
+    NoiseConfig(blur_sigma=45.0, confusion_rate=0.1),  # window spans the image
+    NoiseConfig(confusion_rate=0.3), NoiseConfig(background_leak=0.4),
+    NoiseConfig(blur_sigma=1.0),
+], ids=lambda cfg: f"{cfg.blur_sigma}-{cfg.confusion_rate}-{cfg.background_leak}")
+def test_windowed_simulate_is_bit_identical_to_whole_image(scene_name, cfg):
+    scene = {
+        "random": make_scene(),
+        "overlapping": random_scene(np.random.default_rng(4), image_size=(160, 120),
+                                    n_words=5, separation=-12.0),
+        "border": BORDER_SCENE,
+        "near-pair": NEAR_PAIR_SCENE,
+        "empty": EMPTY_SCENE,
+    }[scene_name]
+    assert np.array_equal(simulate(scene, cfg), whole_image_simulate(scene, cfg))
+
+
+def test_overlapping_windows_merge_until_disjoint():
+    assert len(oracle._windows(NEAR_PAIR_SCENE, 6)) == 1
+    assert len(oracle._windows(NEAR_PAIR_SCENE, 3)) == 2
+    # "four" reaches "two" only, and the merged box then reaches "three",
+    # which no single word's window did.
+    chain = SceneAnnotation(200, 120, [
+        box_word(10, 10, 60, 26, "one"), box_word(70, 10, 120, 26, "two"),
+        box_word(10, 60, 40, 76, "three"), box_word(110, 36, 150, 52, "four")])
+    assert oracle._windows(chain, 6) == [(4, 83, 4, 157)]
+    assert np.array_equal(simulate(chain, noisy(1.5)),
+                          whole_image_simulate(chain, noisy(1.5)))
+    scene = random_scene(np.random.default_rng(8), image_size=(400, 300), n_words=8,
+                         separation=4.0)
+    windows = oracle._windows(scene, 6)
+    assert len(windows) > 2
+    for i, a in enumerate(windows):
+        for b in windows[i + 1:]:
+            assert not oracle._overlap(a, b)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_scenes_and_sigmas_are_bit_identical(seed):
+    # words from overlapping to 12 px apart, so windows often just touch
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, image_size=(180, 130), n_words=6,
+                         separation=float(rng.uniform(-8.0, 12.0)))
+    cfg = NoiseConfig(blur_sigma=float(rng.uniform(0.2, 4.0)),
+                      confusion_rate=float(rng.uniform(0.0, 0.5)),
+                      background_leak=float(rng.uniform(0.0, 0.5)))
+    assert np.array_equal(simulate(scene, cfg), whole_image_simulate(scene, cfg))
