@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 parse/validation errors (with the offending
 line where applicable; also out-of-range flag values, text inputs
-that are not UTF-8 and maps that are not per-pixel distributions),
-3 I/O errors, 4 empty query list. Diagnostics go to stderr; verbosity
-is controlled by the SPHOC_LOG environment variable (error, info or
-debug).
+that are not UTF-8, maps that are not per-pixel distributions and map
+sizes beyond the u32 header or physical memory), 3 I/O errors and out
+of memory, 4 empty query list. Diagnostics go to stderr; verbosity is
+controlled by the SPHOC_LOG environment variable (error, info or debug).
 """
 
 import argparse
@@ -17,8 +17,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
+from .alphabet import NUM_CLASSES
 from .bbox import line_to_bbox
-from .errors import AnnotationParseError, SoftPhocError, check_fields
+from .errors import (AnnotationParseError, InvalidConfig, SoftPhocError,
+                     check_fields)
 from .evaluation import evaluate_bboxes, evaluate_lines
 from .oracle import NoiseConfig, simulate
 from .spotting import SpottingConfig, check_probability_map, spot
@@ -29,6 +31,8 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_NO_QUERIES = 4
 
+# Largest --width/--height: the tensor header stores them as u32.
+_U32_MAX = 2**32 - 1
 # Config fields whose flag is not the field name with dashes.
 _FLAG_NAMES = {"query_samples_per_char": "samples-per-char"}
 
@@ -100,8 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(ns) -> int:
-    check_fields(ns, (("width", ns.width >= 1, ">= 1"),
-                      ("height", ns.height >= 1, ">= 1")))
+    check_fields(ns, (("width", 1 <= ns.width <= _U32_MAX, f"in [1, {_U32_MAX}]"),
+                      ("height", 1 <= ns.height <= _U32_MAX, f"in [1, {_U32_MAX}]")))
+    need = ns.width * ns.height * NUM_CLASSES * 4
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise InvalidConfig(f"a {ns.width}x{ns.height} map takes {need} bytes, "
+                            f"more than the {physical} bytes of physical memory")
     noise = _config(NoiseConfig, ns)
     scene = fileio.load_annotations(ns.annotations, ns.width, ns.height)
     fileio.write_tensor(ns.out_tensor, simulate(scene, noise))
@@ -185,8 +194,8 @@ def main(argv=None) -> int:
     except SoftPhocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -106,10 +106,10 @@ def _warp_word(word, image_width, image_height, crop=None):
     """Inverse-map a word quad onto the scene grid.
 
     Returns (x0, y0, covered, samples): the offset of the quad's clipped
-    pixel bounding box, a boolean coverage grid over it, and the
-    bilinearly sampled crop values (None when crop is None). A scene
-    pixel is covered when its preimage falls in [0, W) x [0, H) of the
-    crop rectangle.
+    pixel bounding box, a boolean coverage grid over it, and the crop
+    bilinearly sampled at the covered pixels only, in row-major order
+    (None when crop is None). A scene pixel is covered when its preimage
+    falls in [0, W) x [0, H) of the crop rectangle.
     """
     crop_w, crop_h = word_crop_size(word)
     rect = np.array([[0.0, 0.0], [crop_w, 0.0], [crop_w, crop_h], [0.0, crop_h]])
@@ -123,7 +123,7 @@ def _warp_word(word, image_width, image_height, crop=None):
         & (v >= -EDGE_EPS) & (v < crop_h - EDGE_EPS)
     samples = None
     if crop is not None:
-        samples = bilinear_sample(crop, u, v)
+        samples = bilinear_sample(crop, u[covered], v[covered])
     return x0, y0, covered, samples
 
 
@@ -153,10 +153,11 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
         crop = encode_word(word.transcription, crop_w, crop_h)
         x0, y0, covered, samples = _warp_word(
             word, scene.image_width, scene.image_height, crop=crop)
-        char_mass = samples[..., 1:].sum(axis=-1)
-        take = covered & (char_mass > MASS_EPS)
+        keep = samples[:, 1:].sum(axis=-1) > MASS_EPS
+        take = covered.copy()
+        take[covered] = keep
         block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
-        block[take] = samples[take].astype(np.float32)
+        block[take] = samples[keep].astype(np.float32)
         claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
 
     # Bilinear edges can leak mass: renormalize claimed pixels over the

@@ -35,27 +35,35 @@ from .spotting import Detection
 
 TENSOR_MAGIC = b"SPHOC\x00v1"
 IGNORE_TRANSCRIPTION = "###"
+# Rows of a tensor file written or read together: about this many bytes,
+# at least one row.
+TENSOR_BLOCK_BYTES = 1 << 20
 
 _DETECTION_COLUMNS = ("query", "status", "x1", "y1", "x2", "y2", "rho",
                       "theta", "dtw", "bbox_cx", "bbox_cy", "bbox_w", "bbox_h")
 
 
 def write_tensor(path, tensor: np.ndarray) -> None:
+    """Write a map of any memory layout, about TENSOR_BLOCK_BYTES of rows
+    at a time, so no copy of the whole map is made."""
     arr = np.asarray(tensor)
     if arr.ndim != 3 or arr.shape[2] != alphabet.NUM_CLASSES:
         raise TensorFormatError(f"expected (H, W, 38) tensor, got {arr.shape}")
     height, width, channels = arr.shape
-    payload = np.ascontiguousarray(arr, dtype="<f4")
+    rows = max(1, TENSOR_BLOCK_BYTES // max(1, 4 * width * channels))
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<III", height, width, channels))
-        fh.write(payload.data)
+        for top in range(0, height, rows):
+            fh.write(np.ascontiguousarray(arr[top:top + rows], dtype="<f4").data)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file into one writable float32 array. The header's
-    payload size is checked against the file size before any payload is
-    read, so a lying header allocates nothing."""
+    """Read a tensor file into one writable float32 array: the (H, W, 38)
+    view of a C-order (38, H, W) one, so each channel is contiguous,
+    filled through a reused buffer of about TENSOR_BLOCK_BYTES of rows.
+    The header's payload size is checked against the file size before
+    any payload is read, so a lying header allocates nothing."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
@@ -71,10 +79,16 @@ def read_tensor(path) -> np.ndarray:
         if found != 4 * count:
             raise TensorFormatError(
                 f"payload is {found} bytes, header promises {4 * count}")
-        data = np.fromfile(fh, dtype="<f4", count=count)
-    if data.size != count:  # the file shrank while being read
-        raise TensorFormatError("truncated payload")
-    return data.reshape(height, width, channels).astype(np.float32, copy=False)
+        planes = np.empty((channels, height, width), dtype=np.float32)
+        rows = max(1, TENSOR_BLOCK_BYTES // max(1, 4 * width * channels))
+        buf = np.empty(min(rows, height) * width * channels, dtype="<f4")
+        for top in range(0, height, rows):
+            n = min(rows, height - top)
+            block = buf[:n * width * channels]
+            if fh.readinto(block) != block.nbytes:  # the file shrank
+                raise TensorFormatError("truncated payload")
+            planes[:, top:top + n] = block.reshape(n, width, channels).transpose(2, 0, 1)
+    return planes.transpose(1, 2, 0)
 
 
 def read_text(path) -> str:

@@ -6,6 +6,10 @@ greedy non-maximum suppression and are converted to finite segments by
 walking each infinite line across the image and keeping the longest run
 of positions backed by mask pixels within a perpendicular band,
 bridging small gaps.
+
+The accumulator votes in blocks of thetas whose (thetas, pixels) array
+of rho bins fits in about HOUGH_BLOCK_BYTES: each theta's bins are offset
+by theta_index * n_rho and one bincount counts the block, exactly.
 """
 
 import math
@@ -13,6 +17,9 @@ import math
 import numpy as np
 
 from .geometry import LineSegment, line_param_range_in_rect
+
+# Bytes of one block's (thetas, pixels) vote array; at least one theta.
+HOUGH_BLOCK_BYTES = 1 << 20
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -22,15 +29,21 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     height, width = shape
     diag = math.hypot(width - 1, height - 1)
     half_bins = int(math.ceil(diag / rho_res))
-    rhos = (np.arange(2 * half_bins + 1) - half_bins) * rho_res
+    n_rho = 2 * half_bins + 1
+    rhos = (np.arange(n_rho) - half_bins) * rho_res
     thetas = np.arange(0.0, 180.0, theta_res)
-    acc = np.zeros((len(rhos), len(thetas)), dtype=np.int64)
-    cos_t = np.cos(np.radians(thetas))
-    sin_t = np.sin(np.radians(thetas))
-    for ti in range(len(thetas)):
-        r = xs * cos_t[ti] + ys * sin_t[ti]
-        bins = np.rint(r / rho_res).astype(np.intp) + half_bins
-        acc[:, ti] += np.bincount(bins, minlength=len(rhos))
+    acc = np.zeros((n_rho, len(thetas)), dtype=np.int64)
+    cos_t = np.cos(np.radians(thetas))[:, None]
+    sin_t = np.sin(np.radians(thetas))[:, None]
+    step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, len(xs))))
+    for t0 in range(0, len(thetas), step):
+        t1 = min(t0 + step, len(thetas))
+        r = xs * cos_t[t0:t1] + ys * sin_t[t0:t1]
+        r /= rho_res
+        bins = np.rint(r, out=r).astype(np.intp)
+        bins += np.arange(t1 - t0)[:, None] * n_rho + half_bins
+        counts = np.bincount(bins.ravel(), minlength=(t1 - t0) * n_rho)
+        acc[:, t0:t1] = counts.reshape(t1 - t0, n_rho).T
     return acc, rhos, thetas
 
 

@@ -7,9 +7,11 @@ Hough transform, sample the probability map along each candidate, and
 rank candidates by DTW distance against the query's own fixed-width
 descriptor.
 
-Each query reads the whole map once: the heatmap walks it in blocks of
-about HEATMAP_BLOCK_BYTES of rows, forming every pair product of a block
-while it is in cache, and all candidates are scored in one DTW pass.
+On a channel-planar map, as read_tensor returns, a query reads only its
+own characters' channels: the heatmap walks them in blocks of about
+HEATMAP_BLOCK_BYTES of row stride (whole interleaved rows of a C-order
+map), forming every pair product of a block while it is in cache. All
+candidates are scored in one DTW pass.
 """
 
 import math
@@ -27,8 +29,8 @@ from .errors import (DegenerateSegment, EmptyTranscription,
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
-# Rows of the map read together by bigram_heatmap: about this many bytes,
-# at least one row.
+# Rows of the map read together by bigram_heatmap: about this many bytes
+# of row stride, at least one row.
 HEATMAP_BLOCK_BYTES = 1 << 20
 # Largest allowed |sum - 1| of a pixel's channels in a probability map.
 MAP_SUM_TOLERANCE = 1e-3
@@ -81,16 +83,17 @@ def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
 
     For "text" this is P(t)P(e) + P(e)P(x) + P(x)P(t); repeated pairs
     reuse the same channel. Single-character queries fall back to the
-    character's own channel. The map is read in blocks of whole rows of
-    about HEATMAP_BLOCK_BYTES, each block once for all pairs; every pixel
+    character's own channel. The map is read in blocks of whole rows
+    spanning about HEATMAP_BLOCK_BYTES of its row stride, each block once
+    for all pairs, in either memory layout; every pixel
     sums the same float64 products in the same order as a pair-by-pair
     pass over the whole map would.
     """
     classes = alphabet.transcription_to_classes(query)
     if len(classes) == 1:
         return np.array(prob[..., classes[0]], dtype=np.float64)
-    height, width, channels = prob.shape
-    rows = max(1, HEATMAP_BLOCK_BYTES // max(1, width * channels * prob.itemsize))
+    height, width, _ = prob.shape
+    rows = max(1, HEATMAP_BLOCK_BYTES // max(1, abs(prob.strides[0])))
     heat = np.zeros((height, width), dtype=np.float64)
     for top in range(0, height, rows):
         block = prob[top:top + rows]

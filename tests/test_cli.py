@@ -157,6 +157,21 @@ class TestSpot:
         assert run(["spot", tensor, queries, par, "--jobs", 4]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_one_and_two_jobs_write_identical_bytes(self, tmp_path):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(GT_DIRECTORY + "20,80,130,70,133,88,23,98,carpark\n"
+                      "150,20,180,20,180,110,150,110,exit\n")
+        tensor = tmp_path / "scene.sphoc"
+        assert run(["simulate", gt, tensor, "--width", 200, "--height", 120,
+                    "--blur-sigma", 1.5, "--confusion-rate", 0.2]) == 0
+        queries = tmp_path / "q.txt"
+        queries.write_text("DIRECTORY\ncarpark\nexit\nzzzz\nparking\ndirect\n")
+        one, two = tmp_path / "1.tsv", tmp_path / "2.tsv"
+        assert run(["spot", tensor, queries, one, "--jobs", 1]) == 0
+        assert run(["spot", tensor, queries, two, "--jobs", 2]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert "\tfound\t" in one.read_text()
+
     def test_config_flags_are_plumbed_through(self, tmp_path):
         tensor = self.make_tensor(tmp_path)
         queries = tmp_path / "q.txt"
@@ -345,6 +360,35 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
     assert run([*argv, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["encode", "simulate"])
+@pytest.mark.parametrize("width, height", [
+    (3_000_000_000, 3_000_000_000),
+    (1_000_000, 1_000_000),
+    (1_000_000, 5_000_000_000)])  # height beyond the header's u32
+def test_map_too_large_to_allocate_exits_2_before_reading(tmp_path, capsys,
+                                                          command, width, height):
+    # Only sizes that no machine can allocate: the annotation file does not
+    # exist, so exit 2 (not 3) shows the size was refused before any read.
+    out = tmp_path / "o.sphoc"
+    assert run([command, tmp_path / "missing.txt", out,
+                "--width", width, "--height", height]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(scene, noise):
+        raise MemoryError("Unable to allocate 140. MiB")
+
+    monkeypatch.setattr(cli, "simulate", exhausted)
+    gt = tmp_path / "gt.txt"
+    gt.write_text(GT_SINGLE)
+    assert run(["simulate", gt, tmp_path / "o.sphoc", "--width", 160,
+                "--height", 100]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 140. MiB\n"
 
 
 @pytest.mark.parametrize("command", ["spot", "encode", "eval"])

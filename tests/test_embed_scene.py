@@ -6,7 +6,7 @@ from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, encode_word, scene_coverage_mask
 from softphoc.errors import DegenerateQuad
-from softphoc.warp import homography
+from softphoc.warp import apply_homography, bilinear_sample, homography
 
 from scenegen import random_scene, rotated_rect_quad
 
@@ -83,14 +83,30 @@ def test_rank_deficient_quad_is_rejected():
         homography(quad, np.array([[0, 0], [10, 0], [10, 10], [0, 10]]))
 
 
+def whole_box_warp(word, w, h, crop):
+    """(x0, y0, covered, samples) with the crop sampled at every pixel of
+    the word's box, covered or not."""
+    crop_w, crop_h = encoder.word_crop_size(word)
+    rect = np.array([[0.0, 0.0], [crop_w, 0.0], [crop_w, crop_h], [0.0, crop_h]])
+    x0, y0, x1, y1 = encoder.word_box(word, w, h)
+    ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+    u, v, valid = apply_homography(homography(word.quad, rect),
+                                   xs.astype(float), ys.astype(float))
+    eps = encoder.EDGE_EPS
+    covered = valid & (u >= -eps) & (u < crop_w - eps) \
+        & (v >= -eps) & (v < crop_h - eps)
+    return x0, y0, covered, bilinear_sample(crop, u, v)
+
+
 def whole_image_embed(scene):
-    """embed_scene with its finalisation written as whole-image passes."""
+    """embed_scene with whole-box sampling and its finalisation written as
+    whole-image passes."""
     w, h = scene.image_width, scene.image_height
     out = np.zeros((h, w, 38), dtype=np.float32)
     claimed = np.zeros((h, w), dtype=bool)
     for word in scene.words:
         crop = encoder.encode_word(word.transcription, *encoder.word_crop_size(word))
-        x0, y0, covered, samples = encoder._warp_word(word, w, h, crop=crop)
+        x0, y0, covered, samples = whole_box_warp(word, w, h, crop)
         take = covered & (samples[..., 1:].sum(axis=-1) > encoder.MASS_EPS)
         block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
         block[take] = samples[take].astype(np.float32)

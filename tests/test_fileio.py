@@ -90,6 +90,43 @@ class TestTensorFile:
         assert path.stat().st_size == 20 + 3 * 2 * 38 * 4
         back[0, 0, 0] = 1.0
 
+    def test_read_map_is_channel_planar_with_the_file_values(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        # more rows than one read block holds, and a height that is not a
+        # multiple of the block
+        tensor = np.random.default_rng(1).random((61, 300, 38)).astype(np.float32)
+        write_tensor(path, tensor)
+        back = read_tensor(path)
+        assert back.shape == (61, 300, 38) and back.dtype == np.float32
+        assert all(back[..., c].flags.c_contiguous for c in range(38))
+        plain = np.fromfile(path, dtype="<f4", offset=20).reshape(61, 300, 38)
+        assert np.array_equal(back, plain)
+        assert back.tobytes() == tensor.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5, 38), (4, 0, 38)])
+    def test_empty_map_round_trips(self, tmp_path, shape):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.zeros(shape, dtype=np.float32))
+        assert read_tensor(path).shape == shape
+
+    def test_rewriting_a_read_map_reproduces_the_file(self, tmp_path):
+        path, again = tmp_path / "t.sphoc", tmp_path / "u.sphoc"
+        write_tensor(path, np.random.default_rng(2).random((50, 301, 38)))
+        write_tensor(again, read_tensor(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_writing_a_planar_map_copies_no_whole_map(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.random.default_rng(3).random((200, 300, 38)))
+        planar = read_tensor(path)  # 9.1 MB, not C-order
+        tracemalloc.start()
+        try:
+            write_tensor(tmp_path / "u.sphoc", planar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
     def test_wrong_channel_count_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError):
             write_tensor(tmp_path / "t.sphoc", np.zeros((2, 2, 37)))

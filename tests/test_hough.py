@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from softphoc.hough import find_peaks
+from softphoc.hough import HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator
 from softphoc.spotting import SpottingConfig, hough_lines
 
 CFG = SpottingConfig()
@@ -123,3 +124,34 @@ def test_gap_bridging_joins_close_runs():
     segments2 = hough_lines(mask2, CFG)
     top2 = segments2[0]
     assert top2.x2 - top2.x1 < 45
+
+
+def per_theta_accumulator(xs, ys, shape, rho_res, theta_res):
+    """The accumulator voted one theta at a time."""
+    height, width = shape
+    half_bins = int(math.ceil(math.hypot(width - 1, height - 1) / rho_res))
+    thetas = np.arange(0.0, 180.0, theta_res)
+    acc = np.zeros((2 * half_bins + 1, len(thetas)), dtype=np.int64)
+    for ti, theta in enumerate(np.radians(thetas)):
+        r = xs * np.cos(theta) + ys * np.sin(theta)
+        bins = np.rint(r / rho_res).astype(np.intp) + half_bins
+        acc[:, ti] += np.bincount(bins, minlength=acc.shape[0])
+    return acc
+
+
+@pytest.mark.parametrize("n_pixels", [
+    0, 1, 5000,
+    HOUGH_BLOCK_BYTES // 8 + 1])  # more pixels than a one-theta block holds
+@pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7)])
+def test_theta_blocks_match_per_theta_votes(n_pixels, rho_res, theta_res):
+    shape = (400, 700)
+    rng = np.random.default_rng(n_pixels)
+    flat = rng.choice(shape[0] * shape[1], size=n_pixels, replace=False)
+    ys, xs = np.unravel_index(np.sort(flat), shape)
+    acc, rhos, thetas = hough_accumulator(xs, ys, shape, rho_res, theta_res)
+    expected = per_theta_accumulator(xs, ys, shape, rho_res, theta_res)
+    assert acc.dtype == np.int64 and acc.flags.c_contiguous
+    assert np.array_equal(acc, expected)
+    assert acc.sum() == n_pixels * len(thetas)
+    assert len(rhos) == acc.shape[0] and np.array_equal(
+        thetas, np.arange(0.0, 180.0, theta_res))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softphoc.fileio import read_tensor, write_tensor
 from softphoc.oracle import NoiseConfig, simulate
 from softphoc.spotting import spot
 
@@ -32,13 +33,14 @@ CASES = (
 N_DISTRACTORS = 2
 
 
-def spot_rows():
-    """(case, query, found, x1, y1, x2, y2, dtw) for every query, in order."""
+def spot_rows(load=lambda prob: prob):
+    """(case, query, found, x1, y1, x2, y2, dtw) for every query, in order,
+    spotting on load(map) for each simulated map."""
     rows = []
     for case, (seed, size, n_words, noise) in enumerate(CASES):
         rng = np.random.default_rng(seed)
         scene = random_scene(rng, image_size=size, n_words=n_words)
-        prob = simulate(scene, noise)
+        prob = load(simulate(scene, noise))
         queries = [w.transcription for w in scene.words]
         queries += [random_word(rng) for _ in range(N_DISTRACTORS)]
         for query in queries:
@@ -73,14 +75,27 @@ def write_golden():
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_spot_matches_golden_outputs():
+def check_rows(got):
     expected = read_golden()
-    got = spot_rows()
     assert [row[:3] for row in got] == [row[:3] for row in expected]
     for g, e in zip(got, expected):
         if e[2]:
             assert g[3:7] == pytest.approx(e[3:7], abs=1e-6), g[:2]
             assert g[7] == pytest.approx(e[7], abs=1e-9), g[:2]
+
+
+def test_spot_matches_golden_outputs():
+    check_rows(spot_rows())
+
+
+def test_spot_matches_golden_outputs_on_maps_read_from_files(tmp_path):
+    # write_tensor -> read_tensor gives the channel-planar map the CLI spots on
+    def through_file(prob):
+        path = tmp_path / "map.sphoc"
+        write_tensor(path, prob)
+        return read_tensor(path)
+
+    check_rows(spot_rows(through_file))
 
 
 if __name__ == "__main__":

@@ -89,6 +89,9 @@ class TestBigramHeatmap:
         heat = bigram_heatmap(prob, query)
         assert heat.dtype == np.float64
         assert np.array_equal(heat, expected)
+        # the channel-planar layout that read_tensor returns
+        planar = np.ascontiguousarray(prob.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert np.array_equal(bigram_heatmap(planar, query), heat)
 
 
 class TestThresholdMask:
