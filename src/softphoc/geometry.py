@@ -144,6 +144,12 @@ def segment_quad_overlap_length(p1, p2, quad: np.ndarray) -> float:
     return max(0.0, t1 - t0) * seg_len
 
 
+# Direction components below this count as zero, and a line along an axis
+# within this distance of the rectangle counts as inside it: cos(90 deg)
+# is about 6e-17, so a line refit onto a border row can sit ~1e-15 off it.
+AXIS_TOLERANCE = 1e-12
+
+
 def line_param_range_in_rect(rho: float, theta_rad: float, width: int, height: int):
     """Parameter range of the line rho=(x cos, y sin) inside [0,W-1]x[0,H-1].
 
@@ -153,16 +159,16 @@ def line_param_range_in_rect(rho: float, theta_rad: float, width: int, height: i
     c, s = math.cos(theta_rad), math.sin(theta_rad)
     t_lo, t_hi = -math.inf, math.inf
     # x(t) = rho*c - t*s in [0, width-1]
-    if abs(s) > 1e-12:
+    if abs(s) > AXIS_TOLERANCE:
         bounds = sorted(((rho * c - 0.0) / s, (rho * c - (width - 1)) / s))
         t_lo, t_hi = max(t_lo, bounds[0]), min(t_hi, bounds[1])
-    elif not (0.0 <= rho * c <= width - 1):
+    elif not (-AXIS_TOLERANCE <= rho * c <= width - 1 + AXIS_TOLERANCE):
         return None
     # y(t) = rho*s + t*c in [0, height-1]
-    if abs(c) > 1e-12:
+    if abs(c) > AXIS_TOLERANCE:
         bounds = sorted(((0.0 - rho * s) / c, ((height - 1) - rho * s) / c))
         t_lo, t_hi = max(t_lo, bounds[0]), min(t_hi, bounds[1])
-    elif not (0.0 <= rho * s <= height - 1):
+    elif not (-AXIS_TOLERANCE <= rho * s <= height - 1 + AXIS_TOLERANCE):
         return None
     if t_lo > t_hi:
         return None

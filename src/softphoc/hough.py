@@ -20,6 +20,8 @@ from .geometry import LineSegment, line_param_range_in_rect
 
 # Bytes of one block's (thetas, pixels) vote array; at least one theta.
 HOUGH_BLOCK_BYTES = 1 << 20
+# Peak candidates suppressed together by find_peaks.
+NMS_BLOCK = 1024
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -51,23 +53,33 @@ def find_peaks(acc: np.ndarray, rhos: np.ndarray, thetas: np.ndarray,
                min_votes: int, nms_rho: float, nms_theta: float,
                max_candidates: int):
     """Greedy NMS peak picking; returns [(rho, theta_deg, votes), ...]
-    ordered by descending votes (ties: smaller rho, then theta)."""
+    ordered by descending votes (ties: smaller rho, then theta). A cell
+    at or above min_votes becomes a peak unless it lies within nms_rho
+    and nms_theta of an earlier peak."""
     cand_r, cand_t = np.nonzero(acc >= min_votes)
-    if len(cand_r) == 0:
-        return []
     votes = acc[cand_r, cand_t]
     order = np.lexsort((cand_t, cand_r, -votes))
+    rho, theta, votes = rhos[cand_r[order]], thetas[cand_t[order]], votes[order]
+
+    def apart(r, t, pr, pt):
+        return ~((np.abs(r - pr) <= nms_rho) & (np.abs(t - pt) <= nms_theta))
+
     peaks = []
-    for k in order:
+    # Candidates go in blocks of NMS_BLOCK, so the tail after the last
+    # peak is never read. A block first drops what earlier peaks
+    # suppress; then its first live candidate is the next peak and
+    # suppresses the rest within (nms_rho, nms_theta), itself included.
+    for lo in range(0, len(order), NMS_BLOCK):
         if len(peaks) >= max_candidates:
             break
-        rho = rhos[cand_r[k]]
-        theta = thetas[cand_t[k]]
-        suppressed = any(abs(rho - pr) <= nms_rho and abs(theta - pt) <= nms_theta
-                         for pr, pt, _ in peaks)
-        if suppressed:
-            continue
-        peaks.append((float(rho), float(theta), int(votes[k])))
+        r, t = rho[lo:lo + NMS_BLOCK], theta[lo:lo + NMS_BLOCK]
+        earlier = np.array([peak[:2] for peak in peaks]).reshape(-1, 2)
+        live = apart(r[:, None], t[:, None], earlier[:, 0], earlier[:, 1]).all(axis=1)
+        while len(peaks) < max_candidates and live.any():
+            k = int(np.argmax(live))
+            peaks.append((float(r[k]), float(t[k]), int(votes[lo + k])))
+            live &= apart(r, t, r[k], t[k])
+            live[k] = False
     return peaks
 
 
@@ -146,16 +158,23 @@ def lines_from_mask(mask: np.ndarray, cfg) -> list[LineSegment]:
     """Full voting pipeline from a binary mask to candidate segments,
     tuned by the Hough fields of `cfg` (a spotting.SpottingConfig)."""
     ys, xs = np.nonzero(mask)
+    return lines_from_pixels(xs, ys, mask.shape, cfg)
+
+
+def lines_from_pixels(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+                      cfg) -> list[LineSegment]:
+    """lines_from_mask for the pixels (xs, ys), in row-major order, of a
+    (height, width) mask."""
     if len(xs) == 0:
         return []
-    acc, rhos, thetas = hough_accumulator(xs, ys, mask.shape, cfg.hough_rho_res,
+    acc, rhos, thetas = hough_accumulator(xs, ys, shape, cfg.hough_rho_res,
                                           cfg.hough_theta_res)
     peaks = find_peaks(acc, rhos, thetas, cfg.hough_min_votes, cfg.nms_rho,
                        cfg.nms_theta, cfg.max_candidates)
     segments = []
     for rho, theta, votes in peaks:
         rho, theta = refine_line(rho, theta, xs, ys, cfg.band_halfwidth)
-        trimmed = trim_line_to_mask(rho, theta, xs, ys, mask.shape,
+        trimmed = trim_line_to_mask(rho, theta, xs, ys, shape,
                                     cfg.band_halfwidth, cfg.gap_bridge)
         if trimmed is None:
             continue

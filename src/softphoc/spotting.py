@@ -7,11 +7,24 @@ Hough transform, sample the probability map along each candidate, and
 rank candidates by DTW distance against the query's own fixed-width
 descriptor.
 
-On a channel-planar map, as read_tensor returns, a query reads only its
-own characters' channels: the heatmap walks them in blocks of about
-HEATMAP_BLOCK_BYTES of row stride (whole interleaved rows of a C-order
-map), forming every pair product of a block while it is in cache. All
-candidates are scored in one DTW pass.
+spot() computes exact heat only where the peak or a mask pixel can be.
+For each TILE x TILE tile it takes the maximum M_c of each query
+channel and bounds the tile's heat by B = sum over pairs of M_a * M_b,
+formed in float64 in the query's pair order (B = M_c for one
+character). The bound is exact: every value is >= 0, each product is
+<= M_a * M_b and round-to-nearest is monotone, so every computed heat
+is <= B and fl(heat / peak) <= fl(B / peak). A tile is skipped only
+when B is finite, B <= peak and fl(B / peak) < threshold; tiles holding
+a negative value, -0.0, NaN or inf always get exact heat. The peak
+comes from the tile of highest bound, and further rounds add the tiles
+that could still beat it or reach the threshold. Peak and mask pixels
+are those of the whole-map heatmap, and a query's cost scales with the
+area of text, not of the image. The channel maxima read the map in its
+own order: the query's planes of a channel-planar map (as read_tensor
+returns), whole interleaved rows of a C-order one. Exact heat is
+gathered in blocks of about HEATMAP_BLOCK_BYTES, and bigram_heatmap, the
+whole-map heatmap, shares its pair-sum formula. All candidates are
+scored in one DTW pass.
 """
 
 import math
@@ -25,13 +38,19 @@ from . import alphabet, hough
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
 from .encoder import encode_word
 from .errors import (DegenerateSegment, EmptyTranscription,
-                     InvalidProbabilityMap, SoftPhocError, check_fields)
+                     InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
+                     check_fields)
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
-# Rows of the map read together by bigram_heatmap: about this many bytes
-# of row stride, at least one row.
-HEATMAP_BLOCK_BYTES = 1 << 20
+# Pixels of the map read together for their heat, at least one: about
+# this many bytes of row stride (bigram_heatmap's whole rows) or of pixel
+# stride (spot()'s gathered pixels), small enough for a block to stay in
+# cache while each of the query's channels is read from it.
+HEATMAP_BLOCK_BYTES = 1 << 19
+# Side in pixels of the square tiles over which spot() bounds a query's
+# heat; the tiles at the bottom and right edges may be smaller.
+TILE = 16
 # Largest allowed |sum - 1| of a pixel's channels in a probability map.
 MAP_SUM_TOLERANCE = 1e-3
 
@@ -78,6 +97,18 @@ class Detection:
     candidates_considered: int = 0
 
 
+def _pair_heat(planes, classes: list[int]) -> np.ndarray:
+    """A query's heat from the float64 arrays planes[c] of its channels:
+    the one channel of a one-character query, else the products of
+    consecutive pairs summed in query order, starting from zero."""
+    if len(classes) == 1:
+        return planes[classes[0]]
+    heat = np.zeros_like(planes[classes[0]])
+    for a, b in zip(classes[:-1], classes[1:]):
+        heat += planes[a] * planes[b]
+    return heat
+
+
 def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
     """Pixel-wise sum of products of consecutive query-character channels.
 
@@ -85,22 +116,151 @@ def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
     reuse the same channel. Single-character queries fall back to the
     character's own channel. The map is read in blocks of whole rows
     spanning about HEATMAP_BLOCK_BYTES of its row stride, each block once
-    for all pairs, in either memory layout; every pixel
-    sums the same float64 products in the same order as a pair-by-pair
-    pass over the whole map would.
+    for all pairs, in either memory layout; every pixel sums the same
+    float64 products in the same order as spot() does.
     """
     classes = alphabet.transcription_to_classes(query)
-    if len(classes) == 1:
-        return np.array(prob[..., classes[0]], dtype=np.float64)
     height, width, _ = prob.shape
     rows = max(1, HEATMAP_BLOCK_BYTES // max(1, abs(prob.strides[0])))
-    heat = np.zeros((height, width), dtype=np.float64)
+    heat = np.empty((height, width), dtype=np.float64)
     for top in range(0, height, rows):
         block = prob[top:top + rows]
-        out = heat[top:top + rows]
-        for a, b in zip(classes[:-1], classes[1:]):
-            out += block[..., a].astype(np.float64) * block[..., b].astype(np.float64)
+        heat[top:top + rows] = _pair_heat(
+            {c: block[..., c].astype(np.float64) for c in set(classes)}, classes)
     return heat
+
+
+def _tile_max(a: np.ndarray) -> np.ndarray:
+    """Maxima of an (H, W, ...) array over TILE x TILE tiles, smaller at
+    the bottom and right edges: shape (ceil(H/TILE), ceil(W/TILE), ...)."""
+    for axis in (0, 1):
+        full = a.shape[axis] - a.shape[axis] % TILE
+        before = (slice(None),) * axis
+        top = a[before + (slice(full),)].reshape(
+            a.shape[:axis] + (full // TILE, TILE) + a.shape[axis + 1:]).max(axis=axis + 1)
+        if full < a.shape[axis]:
+            rest = a[before + (slice(full, None),)].max(axis=axis, keepdims=True)
+            top = np.concatenate((top, rest), axis=axis)
+        a = top
+    return a
+
+
+def _tile_bound(prob: np.ndarray, classes: list[int]) -> np.ndarray:
+    """Per-tile upper bound of the query's heat, +inf on tiles whose heat
+    must be computed whatever the bound (a value that is negative, -0.0,
+    NaN or infinite, or a dtype without an order-preserving bit view).
+
+    Finite values >= +0 sort as their bits read as unsigned integers do,
+    and every other value reads at or above the bits of +inf (floats) or
+    of the sign (integers), so one maximum per tile and channel gives
+    both the channel maxima and the tiles to compute.
+    """
+    channels = sorted(set(classes))
+    kind, size = prob.dtype.kind, prob.dtype.itemsize
+    tiles = (-(-prob.shape[0] // TILE), -(-prob.shape[1] // TILE))
+    if kind not in "fiub" or size not in (1, 2, 4, 8):
+        return np.full(tiles, np.inf)
+    bits = prob.view(np.dtype(f"u{size}").newbyteorder(prob.dtype.byteorder))
+    if abs(prob.strides[2]) < abs(prob.strides[1]):  # interleaved: read every channel
+        top = _tile_max(bits)[..., channels]
+    else:  # channel-planar: read the query's planes
+        top = np.stack([_tile_max(bits[..., c]) for c in channels], axis=-1)
+    exact = np.zeros(tiles, dtype=bool)
+    if kind in "fi":
+        limit = (np.array(np.inf, dtype=prob.dtype).view(bits.dtype) if kind == "f"
+                 else 1 << (8 * size - 1))
+        over = top >= limit
+        exact = over.any(axis=-1)
+        top[over] = 0
+    # the maxima come back in native byte order; view them in the map's
+    top = top.astype(bits.dtype).view(prob.dtype).astype(np.float64)
+    with np.errstate(over="ignore"):
+        bound = _pair_heat({c: top[..., i] for i, c in enumerate(channels)}, classes)
+    bound[exact] = np.inf
+    return bound
+
+
+def _tile_pixels(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Flat indices y * width + x, in row-major order, of the pixels of
+    the tiles flagged in `tiles`."""
+    band, column = np.nonzero(tiles)
+    cols = (column[:, None] * TILE + np.arange(TILE)).ravel()
+    inside = cols < width
+    cols = cols[inside]
+    # Band b's columns are cols[start[b]:start[b] + count[b]]; each of
+    # its rows takes that run.
+    count = np.bincount(np.repeat(band, TILE)[inside], minlength=len(tiles))
+    start = np.cumsum(count) - count
+    per_row = np.repeat(count, TILE)[:height]
+    first = np.cumsum(per_row) - per_row
+    run = np.repeat(np.repeat(start, TILE)[:height] - first, per_row)
+    run += np.arange(len(run))
+    return np.repeat(np.arange(height) * width, per_row) + cols[run]
+
+
+def _heat_at(flat: np.ndarray, index: np.ndarray, classes: list[int]) -> np.ndarray:
+    """Heat of the pixels flat[index] of an (H * W, 38) map, gathered in
+    blocks of about HEATMAP_BLOCK_BYTES of pixel stride, each block
+    once for all channels while it is in cache."""
+    step = max(1, HEATMAP_BLOCK_BYTES // max(1, abs(flat.strides[0])))
+    heat = np.empty(len(index))
+    for lo in range(0, len(index), step):
+        at = index[lo:lo + step]
+        heat[lo:lo + step] = _pair_heat(
+            {c: flat[:, c][at].astype(np.float64) for c in set(classes)}, classes)
+    return heat
+
+
+def mask_pixels(prob: np.ndarray, query: str, threshold: float):
+    """(peak, ys, xs): the peak of the query's bigram heatmap and, in
+    row-major order, the pixels whose heat / peak >= threshold; no pixels
+    when the peak is <= 0. Raises InvalidProbabilityMap when the peak is
+    not finite.
+
+    The same peak and pixels as thresholding bigram_heatmap(prob, query)
+    / peak, computed only where they can be: exact heat is computed on
+    the TILE x TILE tile of highest bound, then on every tile whose
+    bound exceeds the peak so far or reaches threshold * peak, until no
+    tile is left that could.
+    """
+    classes = alphabet.transcription_to_classes(query)
+    height, width, channels = prob.shape
+    none = np.zeros(0, dtype=np.intp)
+    if prob.size == 0:
+        return 0.0, none, none
+    flat = prob.reshape(height * width, channels)
+    bound = _tile_bound(prob, classes)
+    finite = np.isfinite(bound)
+    todo = ~finite
+    if finite.any():
+        todo.flat[np.argmax(np.where(finite, bound, -np.inf))] = True
+    done = np.zeros_like(todo)
+    peak, pixels, heats = -math.inf, [], []
+    while todo.any():
+        index = _tile_pixels(todo, height, width)
+        heat = _heat_at(flat, index, classes)
+        peak = float(np.maximum(peak, heat.max()))
+        # Every NaN and inf on the query's channels is in a first-round
+        # tile, and a later tile can only overflow to +inf, so a peak
+        # that is not finite now is the whole map's.
+        if not math.isfinite(peak):
+            raise InvalidProbabilityMap(f"heatmap peak of {query!r} is {peak}")
+        pixels.append(index)
+        heats.append(heat)
+        done |= todo
+        # heat <= bound, so a tile with bound <= peak holds no higher
+        # heat, and with fl(bound / peak) < threshold no mask pixel.
+        skip = bound <= peak
+        if peak > 0.0:
+            with np.errstate(over="ignore"):
+                skip &= bound / peak < threshold
+        todo = ~(done | skip)
+    if peak <= 0.0:
+        return peak, none, none
+    keep = threshold_mask(np.concatenate(heats) / peak, threshold)
+    index = np.sort(np.concatenate(pixels)[keep], kind="stable")
+    ys, xs = np.divmod(index, width)
+    return peak, ys, xs
 
 
 def check_probability_map(prob: np.ndarray) -> None:
@@ -167,17 +327,16 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     distance; ties fall back to more Hough votes, then smaller rho,
     then smaller theta. A map whose heatmap peak is not finite raises
     InvalidProbabilityMap; check_probability_map checks the whole map.
+    A map not of shape (height, width, 38) raises ShapeMismatch.
     """
     if not query:
         raise EmptyTranscription("query must be non-empty")
-    heat = bigram_heatmap(prob, query)
-    peak = float(heat.max()) if heat.size else 0.0
-    if not math.isfinite(peak):
-        raise InvalidProbabilityMap(f"heatmap peak of {query!r} is {peak}")
-    if peak <= 0.0:
-        return None
-    mask = threshold_mask(heat / peak, cfg.heatmap_threshold)
-    candidates = hough_lines(mask, cfg)
+    prob = np.asarray(prob)
+    if prob.ndim != 3 or prob.shape[2] != alphabet.NUM_CLASSES:
+        raise ShapeMismatch(f"map of shape {prob.shape} is not "
+                            f"(height, width, {alphabet.NUM_CLASSES})")
+    _, ys, xs = mask_pixels(prob, query, cfg.heatmap_threshold)
+    candidates = hough.lines_from_pixels(xs, ys, prob.shape[:2], cfg)
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from softphoc import hough
 from softphoc.hough import HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator
 from softphoc.spotting import SpottingConfig, hough_lines
 
@@ -155,3 +156,55 @@ def test_theta_blocks_match_per_theta_votes(n_pixels, rho_res, theta_res):
     assert acc.sum() == n_pixels * len(thetas)
     assert len(rhos) == acc.shape[0] and np.array_equal(
         thetas, np.arange(0.0, 180.0, theta_res))
+
+
+def looped_peaks(acc, rhos, thetas, min_votes, nms_rho, nms_theta,
+                 max_candidates):
+    """Greedy NMS, one candidate at a time over every cell at or above
+    min_votes in (votes descending, rho, theta) order."""
+    cand_r, cand_t = np.nonzero(acc >= min_votes)
+    votes = acc[cand_r, cand_t]
+    peaks = []
+    for k in np.lexsort((cand_t, cand_r, -votes)):
+        if len(peaks) >= max_candidates:
+            break
+        rho, theta = rhos[cand_r[k]], thetas[cand_t[k]]
+        if any(abs(rho - pr) <= nms_rho and abs(theta - pt) <= nms_theta
+               for pr, pt, _ in peaks):
+            continue
+        peaks.append((float(rho), float(theta), int(votes[k])))
+    return peaks
+
+
+@pytest.mark.parametrize("block", [7, hough.NMS_BLOCK])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("nms", [(0.0, 0.0), (5.0, 5.0), (1.0, 7.0), (40.0, 0.5),
+                                 (math.nan, math.nan)])  # NaN suppresses nothing
+@pytest.mark.parametrize("max_candidates", [1, 3, 20, 10_000])
+def test_find_peaks_matches_the_one_candidate_loop(seed, nms, max_candidates, block,
+                                                   monkeypatch):
+    monkeypatch.setattr(hough, "NMS_BLOCK", block)
+    # few distinct vote counts, so many cells tie
+    rng = np.random.default_rng(seed)
+    acc = rng.integers(0, 6, size=(41, 30)) * 10
+    rhos = (np.arange(41) - 20) * float(rng.choice([0.5, 1.0, 2.0]))
+    thetas = np.arange(0.0, 180.0, 6.0)
+    for min_votes in (1, 20, 50, 51):  # 51: above every cell
+        expected = looped_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
+        got = find_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
+        assert got == expected
+        assert all(type(v) is t for peak in got
+                   for v, t in zip(peak, (float, float, int)))
+    assert find_peaks(acc, rhos, thetas, 51, *nms, max_candidates) == []
+
+
+def test_find_peaks_on_a_voted_mask_matches_the_loop():
+    rng = np.random.default_rng(7)
+    mask = np.zeros((90, 160), dtype=bool)
+    mask[rng.random(mask.shape) < 0.05] = True
+    mask[30, 10:150] = mask[60, 20:140] = True
+    ys, xs = np.nonzero(mask)
+    acc, rhos, thetas = hough_accumulator(xs, ys, mask.shape)
+    for max_candidates in (1, 20, acc.size + 1):
+        args = (acc, rhos, thetas, 5, 5.0, 5.0, max_candidates)
+        assert find_peaks(*args) == looped_peaks(*args)
