@@ -70,12 +70,16 @@ class TestBigramHeatmap:
                                bigram_heatmap(prob, "silent"))
 
     # (height, width): a single row, a few rows, a height that is not a
-    # multiple of the row block, rows wider than a block, and empty maps
+    # multiple of the row block, rows wider than a block (6899 float32 pixels
+    # of 38 channels span two blocks; the other width is one pixel past a
+    # block), and empty maps
     @pytest.mark.parametrize("height, width", [
-        (1, 30), (7, 30), (721, 40),
+        (1, 30), (7, 30), (721, 40), (3, 6899),
         (3, HEATMAP_BLOCK_BYTES // (38 * 4) + 1), (0, 30), (5, 0)])
     @pytest.mark.parametrize("query", ["DIRECTORY", "k", "aaaa", "abab"])
     def test_row_blocks_match_whole_map_products(self, height, width, query):
+        if width == 6899:
+            assert width * 38 * 4 > HEATMAP_BLOCK_BYTES
         rng = np.random.default_rng(height * 31 + width)
         prob = rng.random((height, width, 38), dtype=np.float32)
         classes = [classify_char(ch) for ch in query]
