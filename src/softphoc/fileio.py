@@ -20,6 +20,7 @@ where status is "found" or "not-found" (placeholders "-" fill the
 numeric columns of not-found records).
 """
 
+import math
 import os
 import struct
 
@@ -131,8 +132,12 @@ def parse_annotations(text: str, image_width: int | None = None,
         if not transcription:
             raise AnnotationParseError(
                 f"line {lineno}: empty transcription", line_number=lineno)
-        quads.append((lineno, np.array(coords, dtype=float).reshape(4, 2),
-                      transcription))
+        try:
+            quad = np.array(coords, dtype=float).reshape(4, 2)
+        except OverflowError:
+            raise AnnotationParseError(
+                f"line {lineno}: coordinate out of range", line_number=lineno)
+        quads.append((lineno, quad, transcription))
 
     if image_width is None or image_height is None:
         all_pts = np.concatenate([q for _, q, _ in quads]) if quads else np.zeros((1, 2))
@@ -179,10 +184,12 @@ def write_detections(path, records: list[str]) -> None:
 
 def read_detections(path):
     """Parse a detection file into (query, Detection|None, BoundingBox|None)
-    tuples, in file order."""
+    tuples, in file order. Only line 1 may be a "#" header; a later line
+    starting with "#" is a record whose query starts with "#". Numeric
+    fields must be finite and box sizes >= 0."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line or line.startswith("#"):
+        if not line or (lineno == 1 and line.startswith("#")):
             continue
         parts = line.split("\t")
         if len(parts) != len(_DETECTION_COLUMNS):
@@ -197,10 +204,17 @@ def read_detections(path):
             raise AnnotationParseError(
                 f"line {lineno}: unknown status {status!r}", line_number=lineno)
         try:
-            x1, y1, x2, y2, rho, theta, dtw_d, cx, cy, w, h = map(float, parts[2:])
+            values = [float(v) for v in parts[2:]]
         except ValueError:
             raise AnnotationParseError(
                 f"line {lineno}: malformed numeric field", line_number=lineno)
+        if not all(map(math.isfinite, values)):
+            raise AnnotationParseError(
+                f"line {lineno}: numeric field not finite", line_number=lineno)
+        x1, y1, x2, y2, rho, theta, dtw_d, cx, cy, w, h = values
+        if w < 0 or h < 0:
+            raise AnnotationParseError(
+                f"line {lineno}: negative box width or height", line_number=lineno)
         segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
         detection = Detection(query=query, segment=segment, dtw_distance=dtw_d)
         out.append((query, detection, BoundingBox(cx, cy, w, h)))

@@ -21,10 +21,11 @@ that could still beat it or reach the threshold. Peak and mask pixels
 are those of the whole-map heatmap, and a query's cost scales with the
 area of text, not of the image. The channel maxima read the map in its
 own order: the query's planes of a channel-planar map (as read_tensor
-returns), whole interleaved rows of a C-order one. Exact heat is
-gathered in blocks of about HEATMAP_BLOCK_BYTES, and bigram_heatmap, the
-whole-map heatmap, shares its pair-sum formula. All candidates are
-scored in one DTW pass.
+returns), whole interleaved rows of a C-order one; a map that is not
+native float32 or float64 is first converted to float64 once. Exact
+heat is gathered in blocks of about HEATMAP_BLOCK_BYTES. bigram_heatmap,
+the plain whole-map heatmap that tests compare spot() against, shares
+its pair-sum formula. All candidates are scored in one DTW pass.
 """
 
 import math
@@ -43,10 +44,9 @@ from .errors import (DegenerateSegment, EmptyTranscription,
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
-# Pixels of the map read together for their heat, at least one: about
-# this many bytes of row stride (bigram_heatmap's whole rows) or of pixel
-# stride (spot()'s gathered pixels), small enough for a block to stay in
-# cache while each of the query's channels is read from it.
+# Pixels whose heat spot() gathers together, at least one: about this
+# many bytes of pixel stride, small enough for a block to stay in cache
+# while each of the query's channels is read from it.
 HEATMAP_BLOCK_BYTES = 1 << 19
 # Side in pixels of the square tiles over which spot() bounds a query's
 # heat; the tiles at the bottom and right edges may be smaller.
@@ -114,20 +114,12 @@ def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
 
     For "text" this is P(t)P(e) + P(e)P(x) + P(x)P(t); repeated pairs
     reuse the same channel. Single-character queries fall back to the
-    character's own channel. The map is read in blocks of whole rows
-    spanning about HEATMAP_BLOCK_BYTES of its row stride, each block once
-    for all pairs, in either memory layout; every pixel sums the same
-    float64 products in the same order as spot() does.
+    character's own channel. This is the whole-map heatmap in float64;
+    spot() computes the same sums only on the tiles that can matter.
     """
     classes = alphabet.transcription_to_classes(query)
-    height, width, _ = prob.shape
-    rows = max(1, HEATMAP_BLOCK_BYTES // max(1, abs(prob.strides[0])))
-    heat = np.empty((height, width), dtype=np.float64)
-    for top in range(0, height, rows):
-        block = prob[top:top + rows]
-        heat[top:top + rows] = _pair_heat(
-            {c: block[..., c].astype(np.float64) for c in set(classes)}, classes)
-    return heat
+    return _pair_heat({c: prob[..., c].astype(np.float64) for c in set(classes)},
+                      classes)
 
 
 def _tile_max(a: np.ndarray) -> np.ndarray:
@@ -146,56 +138,31 @@ def _tile_max(a: np.ndarray) -> np.ndarray:
 
 
 def _tile_bound(prob: np.ndarray, classes: list[int]) -> np.ndarray:
-    """Per-tile upper bound of the query's heat, +inf on tiles whose heat
-    must be computed whatever the bound (a value that is negative, -0.0,
-    NaN or infinite, or a dtype without an order-preserving bit view).
+    """Per-tile upper bound of the query's heat on a native float32 or
+    float64 map, not finite on tiles whose heat must be computed whatever
+    the bound (a value that is negative, -0.0, NaN or infinite).
 
     Finite values >= +0 sort as their bits read as unsigned integers do,
-    and every other value reads at or above the bits of +inf (floats) or
-    of the sign (integers), so one maximum per tile and channel gives
-    both the channel maxima and the tiles to compute.
+    and every other value reads at or above the bits of +inf, so one
+    maximum per tile and channel, capped at those bits, gives both the
+    channel maxima and the tiles to compute.
     """
     channels = sorted(set(classes))
-    kind, size = prob.dtype.kind, prob.dtype.itemsize
-    tiles = (-(-prob.shape[0] // TILE), -(-prob.shape[1] // TILE))
-    if kind not in "fiub" or size not in (1, 2, 4, 8):
-        return np.full(tiles, np.inf)
-    bits = prob.view(np.dtype(f"u{size}").newbyteorder(prob.dtype.byteorder))
+    bits = prob.view(f"u{prob.itemsize}")
     if abs(prob.strides[2]) < abs(prob.strides[1]):  # interleaved: read every channel
         top = _tile_max(bits)[..., channels]
     else:  # channel-planar: read the query's planes
         top = np.stack([_tile_max(bits[..., c]) for c in channels], axis=-1)
-    exact = np.zeros(tiles, dtype=bool)
-    if kind in "fi":
-        limit = (np.array(np.inf, dtype=prob.dtype).view(bits.dtype) if kind == "f"
-                 else 1 << (8 * size - 1))
-        over = top >= limit
-        exact = over.any(axis=-1)
-        top[over] = 0
-    # the maxima come back in native byte order; view them in the map's
-    top = top.astype(bits.dtype).view(prob.dtype).astype(np.float64)
-    with np.errstate(over="ignore"):
-        bound = _pair_heat({c: top[..., i] for i, c in enumerate(channels)}, classes)
-    bound[exact] = np.inf
-    return bound
+    inf = np.array(np.inf, dtype=prob.dtype).view(bits.dtype)
+    top = np.minimum(top, inf).view(prob.dtype).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pair_heat({c: top[..., i] for i, c in enumerate(channels)}, classes)
 
 
 def _tile_pixels(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
     """Flat indices y * width + x, in row-major order, of the pixels of
     the tiles flagged in `tiles`."""
-    band, column = np.nonzero(tiles)
-    cols = (column[:, None] * TILE + np.arange(TILE)).ravel()
-    inside = cols < width
-    cols = cols[inside]
-    # Band b's columns are cols[start[b]:start[b] + count[b]]; each of
-    # its rows takes that run.
-    count = np.bincount(np.repeat(band, TILE)[inside], minlength=len(tiles))
-    start = np.cumsum(count) - count
-    per_row = np.repeat(count, TILE)[:height]
-    first = np.cumsum(per_row) - per_row
-    run = np.repeat(np.repeat(start, TILE)[:height] - first, per_row)
-    run += np.arange(len(run))
-    return np.repeat(np.arange(height) * width, per_row) + cols[run]
+    return np.flatnonzero(tiles.repeat(TILE, 0)[:height].repeat(TILE, 1)[:, :width])
 
 
 def _heat_at(flat: np.ndarray, index: np.ndarray, classes: list[int]) -> np.ndarray:
@@ -221,13 +188,17 @@ def mask_pixels(prob: np.ndarray, query: str, threshold: float):
     / peak, computed only where they can be: exact heat is computed on
     the TILE x TILE tile of highest bound, then on every tile whose
     bound exceeds the peak so far or reaches threshold * peak, until no
-    tile is left that could.
+    tile is left that could. A map that is not native float32 or
+    float64 is converted to float64 once, as the heat is formed in
+    float64 anyway.
     """
     classes = alphabet.transcription_to_classes(query)
     height, width, channels = prob.shape
     none = np.zeros(0, dtype=np.intp)
     if prob.size == 0:
         return 0.0, none, none
+    if prob.dtype not in (np.float32, np.float64):
+        prob = prob.astype(np.float64)
     flat = prob.reshape(height * width, channels)
     bound = _tile_bound(prob, classes)
     finite = np.isfinite(bound)

@@ -54,6 +54,15 @@ class TestEncode:
         assert run(["encode", gt, out, "--width", 160, "--height", 100]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_coordinate_beyond_float_range_exits_2(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"{GT_SINGLE}{'9' * 401},30,90,30,90,46,20,46,big\n")
+        out = tmp_path / "scene.sphoc"
+        assert run(["encode", gt, out, "--width", 160, "--height", 100]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: coordinate out of range" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_3(self, tmp_path):
         assert run(["encode", tmp_path / "nope.txt", tmp_path / "o.sphoc",
                     "--width", 10, "--height", 10]) == 3
@@ -232,6 +241,33 @@ class TestEval:
     def test_threshold_out_of_range_exits_2(self, tmp_path):
         gt, det = self.prepare(tmp_path)
         assert run(["eval", det, gt, "--threshold", 1.5]) == 2
+
+    def test_query_starting_with_hash_round_trips(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("30,40,138,40,138,58,30,58,#1st\n")
+        tensor = tmp_path / "scene.sphoc"
+        assert run(["encode", gt, tensor, "--width", 200, "--height", 120]) == 0
+        queries = tmp_path / "q.txt"
+        queries.write_text("#1st\n")
+        det = tmp_path / "det.tsv"
+        assert run(["spot", tensor, queries, det]) == 0
+        assert "\n#1st\tfound\t" in det.read_text()
+        assert run(["eval", det, gt, "--mode", "line", "--threshold", 0.5]) == 0
+        assert "true_positives: 1" in capsys.readouterr().out
+        report = json.loads((tmp_path / "det.tsv.report.json").read_text())
+        assert report["true_positives"] == 1
+
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (9, "inf"), (11, "-70")])
+    def test_non_finite_or_negative_detection_field_exits_2(self, tmp_path, capsys,
+                                                            field, value):
+        gt, det = self.prepare(tmp_path)
+        lines = det.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[field] = value
+        det.write_text("\n".join([lines[0], "\t".join(fields)]) + "\n")
+        assert run(["eval", det, gt]) == 2
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "Traceback" not in err
 
 
 def test_module_entry_point(tmp_path):

@@ -180,6 +180,14 @@ class TestAnnotationParsing:
         assert scene.image_width == 30
         assert scene.image_height == 15
 
+    @pytest.mark.parametrize("digits", [309, 401, 4300])
+    def test_coordinate_beyond_float_range_names_its_line(self, digits):
+        # 10**308 still fits a float64; from 309 digits on it overflows,
+        # and Python refuses to parse integers of more than 4300 digits
+        text = f"0,0,10,0,10,10,0,10,ok\n{'9' * digits},0,10,0,10,10,0,10,big\n"
+        with pytest.raises(AnnotationParseError, match="line 2: coordinate out of range") as err:
+            parse_annotations(text, 20, 20)
+        assert err.value.line_number == 2
 
     @pytest.mark.parametrize("coords", [
         "10,10,10,30,90,30,90,10",  # counter-clockwise on screen
@@ -241,6 +249,41 @@ class TestDetectionRecords:
         path.write_text("onlyquery\tfound\t1\n")
         with pytest.raises(AnnotationParseError):
             read_detections(path)
+
+    def test_hash_query_after_the_header_is_a_record(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        write_detections(path, [format_detection_record(q, None, None)
+                                for q in ("#1st", "#", "plain")])
+        assert read_detections(path) == [("#1st", None, None), ("#", None, None),
+                                         ("plain", None, None)]
+        path.write_text("#1st\tnot-found" + "\t-" * 11 + "\n")
+        assert read_detections(path) == []  # line 1 is the optional header
+
+    @pytest.mark.parametrize("column, value, message", [
+        (2, "nan", "not finite"),      # x1
+        (8, "inf", "not finite"),      # dtw
+        (9, "-inf", "not finite"),     # bbox_cx
+        (12, "NaN", "not finite"),     # bbox_h
+        (6, "1e999", "not finite"),    # rho overflows to inf
+        (11, "-70", "negative box"),   # bbox_w
+        (12, "-0.5", "negative box"),  # bbox_h
+    ])
+    def test_non_finite_field_or_negative_box_names_its_line(self, tmp_path,
+                                                             column, value, message):
+        fields = ["word", "found"] + ["1.0"] * 11
+        fields[column] = value
+        path = tmp_path / "det.tsv"
+        write_detections(path, [format_detection_record("ok", None, None),
+                                "\t".join(fields)])
+        with pytest.raises(AnnotationParseError, match=f"line 3: .*{message}") as err:
+            read_detections(path)
+        assert err.value.line_number == 3
+
+    def test_zero_sized_box_accepted(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        write_detections(path, ["\t".join(["word", "found"] + ["0"] * 11)])
+        (_, _, box), = read_detections(path)
+        assert box == BoundingBox(0.0, 0.0, 0.0, 0.0)
 
     def test_tab_in_query_rejected(self):
         with pytest.raises(AnnotationParseError):

@@ -69,10 +69,11 @@ class TestBigramHeatmap:
         assert not np.allclose(bigram_heatmap(prob, "listen"),
                                bigram_heatmap(prob, "silent"))
 
-    # (height, width): a single row, a few rows, a height that is not a
-    # multiple of the row block, rows wider than a block (6899 float32 pixels
-    # of 38 channels span two blocks; the other width is one pixel past a
-    # block), and empty maps
+    # (height, width): a single row, a few rows, a tall map, rows wider than
+    # HEATMAP_BLOCK_BYTES, the block spot() gathers heat in (6899 float32
+    # pixels of 38 channels span two blocks; the other width is one pixel
+    # past a block), and empty maps; bigram_heatmap, the whole-map reference
+    # of spot(), must equal the pair products written out here on each
     @pytest.mark.parametrize("height, width", [
         (1, 30), (7, 30), (721, 40), (3, 6899),
         (3, HEATMAP_BLOCK_BYTES // (38 * 4) + 1), (0, 30), (5, 0)])
