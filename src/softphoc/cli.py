@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse/validation errors (with the offending
 line where applicable; also out-of-range flag values, text inputs
-that are not UTF-8, maps that are not per-pixel distributions and map
-sizes beyond the u32 header or physical memory), 3 I/O errors and out
+that are not UTF-8, maps that are not per-pixel distributions, map
+sizes beyond the u32 header or physical memory, and Hough accumulators
+or blur kernels beyond physical memory), 3 I/O errors and out
 of memory, 4 empty query list. Diagnostics go to stderr; verbosity is
 controlled by the SPHOC_LOG environment variable (error, info or debug).
 """
@@ -19,8 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import fileio
 from .alphabet import NUM_CLASSES
 from .bbox import line_to_bbox
-from .errors import (AnnotationParseError, InvalidConfig, SoftPhocError,
-                     check_fields)
+from .errors import AnnotationParseError, SoftPhocError, check_fields, check_memory
 from .evaluation import evaluate_bboxes, evaluate_lines
 from .oracle import NoiseConfig, simulate
 from .spotting import SpottingConfig, check_probability_map, spot
@@ -106,11 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(ns) -> int:
     check_fields(ns, (("width", 1 <= ns.width <= _U32_MAX, f"in [1, {_U32_MAX}]"),
                       ("height", 1 <= ns.height <= _U32_MAX, f"in [1, {_U32_MAX}]")))
-    need = ns.width * ns.height * NUM_CLASSES * 4
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical:
-        raise InvalidConfig(f"a {ns.width}x{ns.height} map takes {need} bytes, "
-                            f"more than the {physical} bytes of physical memory")
+    check_memory(ns.width * ns.height * NUM_CLASSES * 4, f"a {ns.width}x{ns.height} map")
     noise = _config(NoiseConfig, ns)
     scene = fileio.load_annotations(ns.annotations, ns.width, ns.height)
     fileio.write_tensor(ns.out_tensor, simulate(scene, noise))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import os
+
 
 class SoftPhocError(ValueError):
     """Base class for all library errors."""
@@ -42,6 +44,15 @@ def check_fields(cfg, checks) -> None:
     for name, ok, rule in checks:
         if not ok:
             raise InvalidConfig(f"{name} {getattr(cfg, name)} must be {rule}")
+
+
+def check_memory(need, what: str) -> None:
+    """Raise InvalidConfig when `what` takes more than physical memory:
+    need bytes, possibly an infinite or NaN float."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not need <= physical:
+        raise InvalidConfig(f"{what} takes {need:.4g} bytes, more than the "
+                            f"{physical} bytes of physical memory")
 
 
 class InvalidProbabilityMap(SoftPhocError):

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import check_memory
 from .geometry import LineSegment, line_param_range_in_rect
 
 # Bytes of one block's (thetas, pixels) vote array; at least one theta.
@@ -27,10 +28,16 @@ NMS_BLOCK = 1024
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
                       rho_res: float = 1.0, theta_res: float = 1.0):
     """Votes of the pixels (xs, ys) of a (height, width) mask; returns
-    (accumulator, rho_values, theta_values_deg)."""
+    (accumulator, rho_values, theta_values_deg). Raises InvalidConfig,
+    before allocating, when its int64 cells take more than physical
+    memory."""
     height, width = shape
     diag = math.hypot(width - 1, height - 1)
-    half_bins = int(math.ceil(diag / rho_res))
+    # Python floats, so that bin counts beyond any integer are refused too.
+    half_bins, n_theta = (float(np.ceil(x)) for x in (diag / rho_res, 180.0 / theta_res))
+    check_memory((2 * half_bins + 1) * n_theta * 8, f"the accumulator of hough_rho_res "
+                 f"{rho_res} and hough_theta_res {theta_res}")
+    half_bins = int(half_bins)
     n_rho = 2 * half_bins + 1
     rhos = (np.arange(n_rho) - half_bins) * rho_res
     thetas = np.arange(0.0, 180.0, theta_res)

@@ -27,7 +27,7 @@ from scipy.ndimage import gaussian_filter
 from . import alphabet
 from .annotations import SceneAnnotation
 from .encoder import embed_scene, word_box
-from .errors import check_fields
+from .errors import check_fields, check_memory
 
 TRUNCATE = 4.0  # kernel radius in sigmas, shared by the filter and the windows
 
@@ -44,6 +44,9 @@ class NoiseConfig:
             ("confusion_rate", 0.0 <= self.confusion_rate <= 1.0, "in [0, 1]"),
             ("background_leak", 0.0 <= self.background_leak <= 1.0, "in [0, 1]"),
         ))
+        # the blur's float64 kernel has 2 * int(TRUNCATE * sigma + 0.5) + 1 taps
+        check_memory(8 * (2 * TRUNCATE * self.blur_sigma + 2),
+                     f"the blur kernel of blur_sigma {self.blur_sigma}")
 
     @property
     def is_identity(self) -> bool:

@@ -19,16 +19,26 @@ a negative value, -0.0, NaN or inf always get exact heat. The peak
 comes from the tile of highest bound, and further rounds add the tiles
 that could still beat it or reach the threshold. Peak and mask pixels
 are those of the whole-map heatmap, and a query's cost scales with the
-area of text, not of the image. The channel maxima read the map in its
-own order: the query's planes of a channel-planar map (as read_tensor
-returns), whole interleaved rows of a C-order one; a map that is not
-native float32 or float64 is first converted to float64 once. Exact
-heat is gathered in blocks of about HEATMAP_BLOCK_BYTES. bigram_heatmap,
+area of text, not of the image. The tile maxima of all 38 channels
+belong to the map, not the query: the first call on a map array reads
+it once, in its own order, and keeps the maxima (about 1.1 MB at 720p)
+while that array object lives, so every later query on it forms its
+bound from them alone. The memo holds no reference to the map and
+drops the entry when the map dies; an entry is never served to
+another array, nor to the same one after its memory or layout changed.
+A map must therefore not be written in place between calls on the same
+array: spot a changed map as a new array, such as prob.copy(). A map
+that is not native float32 or float64 is converted to float64 once, for
+its maxima (the memo is keyed on the caller's array); exact heat is
+gathered from the map itself, in blocks of about HEATMAP_BLOCK_BYTES,
+and converted to float64 as it is gathered. bigram_heatmap,
 the plain whole-map heatmap that tests compare spot() against, shares
 its pair-sum formula. All candidates are scored in one DTW pass.
 """
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,26 +147,46 @@ def _tile_max(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tile_bound(prob: np.ndarray, classes: list[int]) -> np.ndarray:
-    """Per-tile upper bound of the query's heat on a native float32 or
-    float64 map, not finite on tiles whose heat must be computed whatever
-    the bound (a value that is negative, -0.0, NaN or infinite).
+def _tile_maxima(prob: np.ndarray) -> np.ndarray:
+    """(ceil(H/TILE), ceil(W/TILE), 38) float64 maxima of a native float32
+    or float64 map over tiles, not finite where a tile holds a value that
+    is negative, -0.0, NaN or infinite.
 
     Finite values >= +0 sort as their bits read as unsigned integers do,
     and every other value reads at or above the bits of +inf, so one
     maximum per tile and channel, capped at those bits, gives both the
-    channel maxima and the tiles to compute.
+    channel maxima and the tiles whose heat must be computed whatever
+    the bound. One pass reads the map in its own order, whatever its
+    layout.
     """
-    channels = sorted(set(classes))
     bits = prob.view(f"u{prob.itemsize}")
-    if abs(prob.strides[2]) < abs(prob.strides[1]):  # interleaved: read every channel
-        top = _tile_max(bits)[..., channels]
-    else:  # channel-planar: read the query's planes
-        top = np.stack([_tile_max(bits[..., c]) for c in channels], axis=-1)
     inf = np.array(np.inf, dtype=prob.dtype).view(bits.dtype)
-    top = np.minimum(top, inf).view(prob.dtype).astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _pair_heat({c: top[..., i] for i, c in enumerate(channels)}, classes)
+    return np.minimum(_tile_max(bits), inf).view(prob.dtype).astype(np.float64)
+
+
+# _tile_maxima of the maps seen by mask_pixels: id(map) -> (weak reference
+# to the map, its data pointer, shape, strides and dtype, the maxima).
+# An entry holds no reference to its map and is dropped when the map dies.
+_MAP_MAXIMA = {}
+_MAP_MAXIMA_LOCK = threading.Lock()
+
+
+def _map_maxima(prob: np.ndarray) -> np.ndarray:
+    """_tile_maxima of the caller's map prob, converted to float64 first
+    unless it is native float32 or float64: computed once per array
+    object prob, while it lives and keeps its memory and layout."""
+    layout = (prob.__array_interface__["data"][0], prob.shape, prob.strides,
+              prob.dtype)
+    with _MAP_MAXIMA_LOCK:
+        ref, seen, top = _MAP_MAXIMA.get(id(prob), (None, None, None))
+        if ref is None or ref() is not prob:
+            weakref.finalize(prob, _MAP_MAXIMA.pop, id(prob), None)
+        elif seen == layout:
+            return top
+        native = prob.dtype in (np.float32, np.float64)
+        top = _tile_maxima(prob if native else prob.astype(np.float64))
+        _MAP_MAXIMA[id(prob)] = (weakref.ref(prob), layout, top)
+    return top
 
 
 def _tile_pixels(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -188,19 +218,18 @@ def mask_pixels(prob: np.ndarray, query: str, threshold: float):
     / peak, computed only where they can be: exact heat is computed on
     the TILE x TILE tile of highest bound, then on every tile whose
     bound exceeds the peak so far or reaches threshold * peak, until no
-    tile is left that could. A map that is not native float32 or
-    float64 is converted to float64 once, as the heat is formed in
-    float64 anyway.
+    tile is left that could. The tile maxima are the map's, computed on
+    the first call for the array object prob (see the module docstring).
     """
     classes = alphabet.transcription_to_classes(query)
     height, width, channels = prob.shape
     none = np.zeros(0, dtype=np.intp)
     if prob.size == 0:
         return 0.0, none, none
-    if prob.dtype not in (np.float32, np.float64):
-        prob = prob.astype(np.float64)
+    top = _map_maxima(prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _pair_heat({c: top[..., c] for c in set(classes)}, classes)
     flat = prob.reshape(height * width, channels)
-    bound = _tile_bound(prob, classes)
     finite = np.isfinite(bound)
     todo = ~finite
     if finite.any():
@@ -299,6 +328,13 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     then smaller theta. A map whose heatmap peak is not finite raises
     InvalidProbabilityMap; check_probability_map checks the whole map.
     A map not of shape (height, width, 38) raises ShapeMismatch.
+
+    The first call on a map array computes its 16 x 16 tile maxima, and
+    later calls on the same array object reuse them (see the module
+    docstring). spot() assumes the map is not written in place between
+    calls on the same array object: to spot a changed buffer, pass a new
+    array, for example prob.copy(). As the memo holds a weak reference to
+    it, numpy refuses to resize() a map spot() has seen while it lives.
     """
     if not query:
         raise EmptyTranscription("query must be non-empty")

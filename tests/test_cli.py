@@ -369,6 +369,11 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
     ("spot", "--hough-rho-res", "0"),
     ("spot", "--hough-theta-res", "0"),
     ("spot", "--hough-rho-res", "nan"),
+    # accumulators and blur kernels no machine can hold, refused before
+    # anything is allocated
+    ("spot", "--hough-rho-res", "1e-300"),
+    ("spot", "--hough-theta-res", "1e-300"),
+    ("simulate", "--blur-sigma", "1e19"),
     ("spot", "--band-halfwidth", "-1"),
     ("spot", "--gap-bridge", "-3"),
     ("spot", "--max-candidates", "0"),
@@ -396,6 +401,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
     assert run([*argv, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag[2:].replace("-", "_") in err, err
 
 
 @pytest.mark.parametrize("command", ["encode", "simulate"])

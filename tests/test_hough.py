@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softphoc import hough
+from softphoc.errors import InvalidConfig
 from softphoc.hough import HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator
 from softphoc.spotting import SpottingConfig, hough_lines
 
@@ -208,3 +209,12 @@ def test_find_peaks_on_a_voted_mask_matches_the_loop():
     for max_candidates in (1, 20, acc.size + 1):
         args = (acc, rhos, thetas, 5, 5.0, 5.0, max_candidates)
         assert find_peaks(*args) == looped_peaks(*args)
+
+
+@pytest.mark.parametrize("rho_res, theta_res", [(1e-300, 1.0), (1.0, 1e-300),
+                                                (5e-324, 5e-324)])
+def test_accumulator_beyond_physical_memory_is_refused(rho_res, theta_res):
+    # only resolutions no machine can hold, refused before allocating
+    xs, ys = np.array([1, 2]), np.array([3, 4])
+    with pytest.raises(InvalidConfig, match="physical memory"):
+        hough_accumulator(xs, ys, (50, 100), rho_res, theta_res)

@@ -5,6 +5,7 @@ from scipy.ndimage import gaussian_filter
 from softphoc import alphabet, oracle
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, scene_coverage_mask
+from softphoc.errors import InvalidConfig
 from softphoc.oracle import NoiseConfig, simulate
 
 from scenegen import random_scene
@@ -138,3 +139,9 @@ def test_random_scenes_and_sigmas_are_bit_identical(seed):
                       confusion_rate=float(rng.uniform(0.0, 0.5)),
                       background_leak=float(rng.uniform(0.0, 0.5)))
     assert np.array_equal(simulate(scene, cfg), whole_image_simulate(scene, cfg))
+
+
+@pytest.mark.parametrize("sigma", [1e19, 1e300])
+def test_blur_whose_kernel_exceeds_physical_memory_is_refused(sigma):
+    with pytest.raises(InvalidConfig, match="blur_sigma .* physical memory"):
+        NoiseConfig(blur_sigma=sigma)
