@@ -1,11 +1,11 @@
 """Line voting over binary masks and extraction of supported segments.
 
 Foreground pixels vote in a standard (rho, theta) accumulator with
-theta in [0, 180) degrees and rho in [-diag, +diag]. Peaks survive a
-greedy non-maximum suppression and are converted to finite segments by
-walking each infinite line across the image and keeping the longest run
-of positions backed by mask pixels within a perpendicular band,
-bridging small gaps.
+theta in [0, 180) degrees and rho in [-diag, +diag]. Peaks, picked by
+a repeated argmax with greedy non-maximum suppression, are converted to
+finite segments by walking each infinite line across the image and
+keeping the longest run of positions backed by mask pixels within a
+perpendicular band, bridging small gaps.
 
 The accumulator votes in blocks of thetas whose (thetas, pixels) array
 of rho bins fits in about HOUGH_BLOCK_BYTES: each theta's bins are offset
@@ -21,8 +21,6 @@ from .geometry import LineSegment, line_param_range_in_rect
 
 # Bytes of one block's (thetas, pixels) vote array; at least one theta.
 HOUGH_BLOCK_BYTES = 1 << 20
-# Peak candidates suppressed together by find_peaks.
-NMS_BLOCK = 1024
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -65,28 +63,18 @@ def find_peaks(acc: np.ndarray, rhos: np.ndarray, thetas: np.ndarray,
     and nms_theta of an earlier peak."""
     cand_r, cand_t = np.nonzero(acc >= min_votes)
     votes = acc[cand_r, cand_t]
-    order = np.lexsort((cand_t, cand_r, -votes))
-    rho, theta, votes = rhos[cand_r[order]], thetas[cand_t[order]], votes[order]
-
-    def apart(r, t, pr, pt):
-        return ~((np.abs(r - pr) <= nms_rho) & (np.abs(t - pt) <= nms_theta))
-
+    rho, theta = rhos[cand_r], thetas[cand_t]
     peaks = []
-    # Candidates go in blocks of NMS_BLOCK, so the tail after the last
-    # peak is never read. A block first drops what earlier peaks
-    # suppress; then its first live candidate is the next peak and
-    # suppresses the rest within (nms_rho, nms_theta), itself included.
-    for lo in range(0, len(order), NMS_BLOCK):
-        if len(peaks) >= max_candidates:
+    # Candidates are listed by rho, then theta, and argmax returns the
+    # first of tied maxima: the next peak in (-votes, rho, theta) order.
+    while len(peaks) < max_candidates and len(votes):
+        k = int(np.argmax(votes))
+        if votes[k] < min_votes:
             break
-        r, t = rho[lo:lo + NMS_BLOCK], theta[lo:lo + NMS_BLOCK]
-        earlier = np.array([peak[:2] for peak in peaks]).reshape(-1, 2)
-        live = apart(r[:, None], t[:, None], earlier[:, 0], earlier[:, 1]).all(axis=1)
-        while len(peaks) < max_candidates and live.any():
-            k = int(np.argmax(live))
-            peaks.append((float(r[k]), float(t[k]), int(votes[lo + k])))
-            live &= apart(r, t, r[k], t[k])
-            live[k] = False
+        peaks.append((float(rho[k]), float(theta[k]), int(votes[k])))
+        near = (np.abs(rho - rho[k]) <= nms_rho) & (np.abs(theta - theta[k]) <= nms_theta)
+        votes[near] = min_votes - 1
+        votes[k] = min_votes - 1  # a NaN window suppresses nothing
     return peaks
 
 

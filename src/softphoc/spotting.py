@@ -172,9 +172,9 @@ _MAP_MAXIMA_LOCK = threading.Lock()
 
 
 def _map_maxima(prob: np.ndarray) -> np.ndarray:
-    """_tile_maxima of the caller's map prob, converted to float64 first
-    unless it is native float32 or float64: computed once per array
-    object prob, while it lives and keeps its memory and layout."""
+    """_tile_maxima of np.asarray(prob), converted to float64 first unless
+    native float32 or float64: computed once per array object prob, such
+    as an np.memmap, while it lives and keeps its memory and layout."""
     layout = (prob.__array_interface__["data"][0], prob.shape, prob.strides,
               prob.dtype)
     with _MAP_MAXIMA_LOCK:
@@ -183,16 +183,20 @@ def _map_maxima(prob: np.ndarray) -> np.ndarray:
             weakref.finalize(prob, _MAP_MAXIMA.pop, id(prob), None)
         elif seen == layout:
             return top
-        native = prob.dtype in (np.float32, np.float64)
-        top = _tile_maxima(prob if native else prob.astype(np.float64))
+        data = np.asarray(prob)
+        native = data.dtype in (np.float32, np.float64)
+        top = _tile_maxima(data if native else data.astype(np.float64))
         _MAP_MAXIMA[id(prob)] = (weakref.ref(prob), layout, top)
     return top
 
 
 def _tile_pixels(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Flat indices y * width + x, in row-major order, of the pixels of
-    the tiles flagged in `tiles`."""
-    return np.flatnonzero(tiles.repeat(TILE, 0)[:height].repeat(TILE, 1)[:, :width])
+    """Flat indices y * width + x of the pixels of the tiles flagged in
+    `tiles`, tile by tile, not row-major: mask_pixels sorts those it keeps."""
+    ty, tx = np.nonzero(tiles)
+    y = ty[:, None, None] * TILE + np.arange(TILE)[:, None]
+    x = tx[:, None, None] * TILE + np.arange(TILE)
+    return (y * width + x)[(y < height) & (x < width)]
 
 
 def _heat_at(flat: np.ndarray, index: np.ndarray, classes: list[int]) -> np.ndarray:
@@ -229,7 +233,7 @@ def mask_pixels(prob: np.ndarray, query: str, threshold: float):
     top = _map_maxima(prob)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = _pair_heat({c: top[..., c] for c in set(classes)}, classes)
-    flat = prob.reshape(height * width, channels)
+    flat = np.asarray(prob).reshape(height * width, channels)
     finite = np.isfinite(bound)
     todo = ~finite
     if finite.any():
@@ -329,20 +333,22 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     InvalidProbabilityMap; check_probability_map checks the whole map.
     A map not of shape (height, width, 38) raises ShapeMismatch.
 
-    The first call on a map array computes its 16 x 16 tile maxima, and
-    later calls on the same array object reuse them (see the module
-    docstring). spot() assumes the map is not written in place between
-    calls on the same array object: to spot a changed buffer, pass a new
-    array, for example prob.copy(). As the memo holds a weak reference to
-    it, numpy refuses to resize() a map spot() has seen while it lives.
+    The first call on a map array (an np.memmap too) computes its 16 x 16
+    tile maxima, which later calls on the same array object reuse (see the
+    module docstring). A map must not be written in place between calls on
+    the same array object: spot a changed buffer as a new array, such as
+    prob.copy(). As the memo holds a weak reference to the map, numpy
+    refuses to resize() it while it lives.
     """
     if not query:
         raise EmptyTranscription("query must be non-empty")
-    prob = np.asarray(prob)
+    given, prob = prob, np.asarray(prob)
     if prob.ndim != 3 or prob.shape[2] != alphabet.NUM_CLASSES:
         raise ShapeMismatch(f"map of shape {prob.shape} is not "
                             f"(height, width, {alphabet.NUM_CLASSES})")
-    _, ys, xs = mask_pixels(prob, query, cfg.heatmap_threshold)
+    # the memo key: np.asarray(a memmap) is a new array on every call
+    _, ys, xs = mask_pixels(given if isinstance(given, np.ndarray) else prob,
+                            query, cfg.heatmap_threshold)
     candidates = hough.lines_from_pixels(xs, ys, prob.shape[:2], cfg)
     if not candidates:
         return None

@@ -269,6 +269,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["line", "bbox"])
+    def test_zero_length_detection_segment_exits_2(self, tmp_path, capsys, mode):
+        gt, det = self.prepare(tmp_path)
+        lines = det.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[4:6] = fields[2:4]  # x2 y2 = x1 y1
+        det.write_text("\n".join([lines[0], "\t".join(fields)]) + "\n")
+        assert run(["eval", det, gt, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: zero-length segment" in err and "Traceback" not in err
+
 
 def test_module_entry_point(tmp_path):
     gt = tmp_path / "gt.txt"

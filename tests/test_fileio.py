@@ -279,9 +279,21 @@ class TestDetectionRecords:
             read_detections(path)
         assert err.value.line_number == 3
 
+    def test_zero_length_segment_names_its_line(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        # x1 y1 == x2 y2, written as -0.0 and 0.0 at one end
+        fields = ["word", "found", "3", "-0.0", "3.0", "0"] + ["1.0"] * 7
+        write_detections(path, [format_detection_record("ok", None, None),
+                                "\t".join(fields)])
+        with pytest.raises(AnnotationParseError, match="line 3: zero-length segment") as err:
+            read_detections(path)
+        assert err.value.line_number == 3
+
     def test_zero_sized_box_accepted(self, tmp_path):
         path = tmp_path / "det.tsv"
-        write_detections(path, ["\t".join(["word", "found"] + ["0"] * 11)])
+        # a segment from (0, 0) to (1, 0); every other field 0
+        fields = ["word", "found", "0", "0", "1"] + ["0"] * 8
+        write_detections(path, ["\t".join(fields)])
         (_, _, box), = read_detections(path)
         assert box == BoundingBox(0.0, 0.0, 0.0, 0.0)
 

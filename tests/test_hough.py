@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from softphoc import hough
 from softphoc.errors import InvalidConfig
 from softphoc.hough import HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator
 from softphoc.spotting import SpottingConfig, hough_lines
@@ -177,26 +176,26 @@ def looped_peaks(acc, rhos, thetas, min_votes, nms_rho, nms_theta,
     return peaks
 
 
-@pytest.mark.parametrize("block", [7, hough.NMS_BLOCK])
+@pytest.mark.parametrize("levels", [7, 1024])  # distinct vote counts: 7 tie often
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("nms", [(0.0, 0.0), (5.0, 5.0), (1.0, 7.0), (40.0, 0.5),
                                  (math.nan, math.nan)])  # NaN suppresses nothing
 @pytest.mark.parametrize("max_candidates", [1, 3, 20, 10_000])
-def test_find_peaks_matches_the_one_candidate_loop(seed, nms, max_candidates, block,
-                                                   monkeypatch):
-    monkeypatch.setattr(hough, "NMS_BLOCK", block)
-    # few distinct vote counts, so many cells tie
+def test_find_peaks_matches_the_one_candidate_loop(seed, nms, max_candidates, levels):
     rng = np.random.default_rng(seed)
-    acc = rng.integers(0, 6, size=(41, 30)) * 10
+    acc = rng.integers(0, levels, size=(41, 30)) * 10
+    before = acc.copy()
     rhos = (np.arange(41) - 20) * float(rng.choice([0.5, 1.0, 2.0]))
     thetas = np.arange(0.0, 180.0, 6.0)
-    for min_votes in (1, 20, 50, 51):  # 51: above every cell
+    above_all = 10 * levels - 9
+    for min_votes in (1, 20, 50, 5 * levels, above_all):
         expected = looped_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
         got = find_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
         assert got == expected
         assert all(type(v) is t for peak in got
                    for v, t in zip(peak, (float, float, int)))
-    assert find_peaks(acc, rhos, thetas, 51, *nms, max_candidates) == []
+    assert find_peaks(acc, rhos, thetas, above_all, *nms, max_candidates) == []
+    assert np.array_equal(acc, before)
 
 
 def test_find_peaks_on_a_voted_mask_matches_the_loop():
@@ -206,9 +205,11 @@ def test_find_peaks_on_a_voted_mask_matches_the_loop():
     mask[30, 10:150] = mask[60, 20:140] = True
     ys, xs = np.nonzero(mask)
     acc, rhos, thetas = hough_accumulator(xs, ys, mask.shape)
+    before = acc.copy()
     for max_candidates in (1, 20, acc.size + 1):
         args = (acc, rhos, thetas, 5, 5.0, 5.0, max_candidates)
         assert find_peaks(*args) == looped_peaks(*args)
+    assert np.array_equal(acc, before)
 
 
 @pytest.mark.parametrize("rho_res, theta_res", [(1e-300, 1.0), (1.0, 1e-300),

@@ -53,6 +53,18 @@ def test_two_threads_give_the_serial_results(fills):
     assert len(fills) == 1
 
 
+def test_memmap_map_is_filled_once(fills, tmp_path):
+    prob, words = scene_map((320, 240), 24)
+    queries = words + ["qzx"] + words
+    expected = [spot(prob, query) for query in queries]
+    np.save(tmp_path / "map.npy", prob)
+    mapped = np.load(tmp_path / "map.npy", mmap_mode="r")
+    assert isinstance(mapped, np.memmap)
+    fills.clear()
+    assert [spot(mapped, query) for query in queries] == expected
+    assert len(fills) == 1
+
+
 def test_reallocated_map_is_never_served_the_old_entry(fills):
     rng = np.random.default_rng(4)
     for k in range(6):

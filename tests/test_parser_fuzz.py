@@ -63,7 +63,8 @@ VALID_RECORD = st.one_of(
     st.builds(lambda q: (q, detection_line(q, "not-found", ["-"] * 11)), FIELD_TEXT),
     st.builds(lambda q, numbers, sizes: (q, detection_line(q, "found", numbers + sizes)),
               st.one_of(FIELD_TEXT, FIELD_TEXT.map("#".__add__)),
-              st.lists(FINITE, min_size=9, max_size=9),
+              st.lists(FINITE, min_size=9, max_size=9).filter(
+                  lambda v: [float(x) for x in v[:2]] != [float(x) for x in v[2:4]]),
               st.lists(SIZE, min_size=2, max_size=2)))
 ANY_RECORD = st.builds(
     lambda q, status, fields: (None, detection_line(q, status, fields)),

@@ -9,10 +9,10 @@ from softphoc.errors import (DegenerateSegment, EmptyTranscription,
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
 from softphoc.oracle import simulate
-from softphoc.spotting import (HEATMAP_BLOCK_BYTES, SpottingConfig,
-                               bigram_heatmap, check_probability_map,
-                               query_descriptor, sample_line_descriptor, spot,
-                               threshold_mask)
+from softphoc.spotting import (HEATMAP_BLOCK_BYTES, TILE, SpottingConfig,
+                               _tile_pixels, bigram_heatmap,
+                               check_probability_map, query_descriptor,
+                               sample_line_descriptor, spot, threshold_mask)
 
 from oracles import oracle_clipped_length
 from scenegen import anagram_scene
@@ -128,6 +128,18 @@ class TestThresholdMask:
         low = threshold_mask(heat, 0.3)
         high = threshold_mask(heat, 0.6)
         assert np.all(low[high])
+
+
+@pytest.mark.parametrize("height, width, density", [
+    (1, 1, 1.0), (17, 33, 0.5), (17, 33, 0.0), (721, 1281, 1.0), (721, 1281, 0.01)])
+def test_tile_pixels_are_the_pixels_of_the_flagged_tiles(height, width, density):
+    rng = np.random.default_rng(height * width)
+    for _ in range(5):
+        tiles = rng.random((-(-height // TILE), -(-width // TILE))) < density
+        # from a whole-image mask of the flagged tiles, in row-major order
+        expected = np.flatnonzero(
+            tiles.repeat(TILE, 0)[:height].repeat(TILE, 1)[:, :width])
+        assert np.array_equal(np.sort(_tile_pixels(tiles, height, width)), expected)
 
 
 class TestQueryDescriptor:
