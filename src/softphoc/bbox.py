@@ -1,8 +1,9 @@
 """Axis-aligned bounding boxes derived from detected line segments."""
 
+import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSegment
+from .errors import DegenerateSegment, EmptyTranscription
 from .geometry import LineSegment
 
 
@@ -28,11 +29,14 @@ def line_to_bbox(segment: LineSegment, n_chars: int,
     box width; its height is the length divided by the character count.
     Otherwise the segment spans the box height and the width is the
     length multiplied by the character count. The result is clipped to
-    the image.
+    the image. Raises EmptyTranscription for an n_chars below 1 and
+    DegenerateSegment for a segment of zero or non-finite length.
     """
-    if n_chars < 1:
-        raise ValueError("n_chars must be at least 1")
+    if not n_chars >= 1:
+        raise EmptyTranscription(f"n_chars {n_chars} must be at least 1")
     length = segment.length
+    if not math.isfinite(length):
+        raise DegenerateSegment("cannot box a segment of non-finite length")
     if length <= 0.0:
         raise DegenerateSegment("cannot box a zero-length segment")
     angle = segment.angle_from_horizontal()

@@ -308,10 +308,13 @@ def sample_line_descriptor(prob: np.ndarray, segment: LineSegment) -> np.ndarray
 
     The segment is canonicalized (left-to-right, ties top-to-bottom)
     first, so reversed endpoints produce the identical sequence. Returns
-    (floor(length) + 1, 38).
+    (floor(length) + 1, 38). Raises DegenerateSegment for a segment of
+    zero or non-finite length.
     """
     seg = segment.canonical()
     length = seg.length
+    if not math.isfinite(length):
+        raise DegenerateSegment("cannot sample a segment of non-finite length")
     if length < 1e-9:
         raise DegenerateSegment("cannot sample a zero-length segment")
     n_samples = int(math.floor(length)) + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softphoc.bbox import line_to_bbox
-from softphoc.errors import DegenerateSegment
+from softphoc.errors import DegenerateSegment, EmptyTranscription
 from softphoc.geometry import LineSegment
 
 BIG = (100000, 100000)
@@ -74,3 +74,18 @@ def test_degenerate_segment_rejected():
     seg = LineSegment(5, 5, 5, 5, rho=0, theta=0)
     with pytest.raises(DegenerateSegment):
         line_to_bbox(seg, 3, BIG)
+
+
+@pytest.mark.parametrize("n_chars", [0, -2])
+def test_fewer_than_one_character_rejected(n_chars):
+    with pytest.raises(EmptyTranscription, match="n_chars"):
+        line_to_bbox(segment(2, 5, 42, 5), n_chars, BIG)
+
+
+@pytest.mark.parametrize("x2, y2", [(math.nan, 0.0), (math.inf, 0.0),
+                                    (10.0, -math.inf), (math.nan, math.nan)])
+def test_non_finite_segment_rejected(x2, y2):
+    # (0, 0)-(nan, 0) used to give the whole 80 x 40 image as its box
+    seg = LineSegment(0.0, 0.0, x2, y2, rho=0, theta=90)
+    with pytest.raises(DegenerateSegment, match="non-finite"):
+        line_to_bbox(seg, 3, (80, 40))

@@ -1,13 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from softphoc.errors import InvalidConfig
-from softphoc.hough import HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator
+from softphoc.hough import (HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator,
+                            lines_from_pixels)
 from softphoc.spotting import SpottingConfig, hough_lines
 
 CFG = SpottingConfig()
+
+
+def cells_of(acc, min_votes=1):
+    """The (rho_bins, theta_indices, votes) cells of a grid that reach
+    min_votes, in the form hough_accumulator returns."""
+    cand_r, cand_t = np.nonzero(acc >= min_votes)
+    return cand_r, cand_t, acc[cand_r, cand_t]
+
+
+def grid_of(cells, n_rho, n_theta):
+    """The cells scattered into a zero (n_rho, n_theta) grid."""
+    acc = np.zeros((n_rho, n_theta), dtype=np.int64)
+    acc[cells[0], cells[1]] = cells[2]
+    return acc
 
 
 def mask_with_run(shape=(100, 100), row=40, col0=20, length=60):
@@ -38,7 +54,7 @@ def test_find_peaks_respects_the_candidate_cap():
     rhos, thetas = np.arange(5.0), np.arange(4.0)
     peaks = [(1.0, 1.0, 30), (3.0, 3.0, 25)]
     for cap in range(4):
-        assert find_peaks(acc, rhos, thetas, 20, 0.0, 0.0, cap) == peaks[:cap]
+        assert find_peaks(cells_of(acc, 20), rhos, thetas, 0.0, 0.0, cap) == peaks[:cap]
 
 
 def test_two_parallel_runs_survive_nms():
@@ -149,13 +165,19 @@ def test_theta_blocks_match_per_theta_votes(n_pixels, rho_res, theta_res):
     rng = np.random.default_rng(n_pixels)
     flat = rng.choice(shape[0] * shape[1], size=n_pixels, replace=False)
     ys, xs = np.unravel_index(np.sort(flat), shape)
-    acc, rhos, thetas = hough_accumulator(xs, ys, shape, rho_res, theta_res)
+    cells, rhos, thetas = hough_accumulator(xs, ys, shape, rho_res, theta_res)
     expected = per_theta_accumulator(xs, ys, shape, rho_res, theta_res)
-    assert acc.dtype == np.int64 and acc.flags.c_contiguous
+    assert all(np.issubdtype(a.dtype, np.integer) for a in cells)
+    assert np.all(cells[2] >= 1)
+    acc = grid_of(cells, *expected.shape)
     assert np.array_equal(acc, expected)
     assert acc.sum() == n_pixels * len(thetas)
     assert len(rhos) == acc.shape[0] and np.array_equal(
         thetas, np.arange(0.0, 180.0, theta_res))
+    for min_votes in (2, 3):
+        cells, _, _ = hough_accumulator(xs, ys, shape, rho_res, theta_res, min_votes)
+        assert np.array_equal(grid_of(cells, *expected.shape),
+                              np.where(expected >= min_votes, expected, 0))
 
 
 def looped_peaks(acc, rhos, thetas, min_votes, nms_rho, nms_theta,
@@ -190,11 +212,14 @@ def test_find_peaks_matches_the_one_candidate_loop(seed, nms, max_candidates, le
     above_all = 10 * levels - 9
     for min_votes in (1, 20, 50, 5 * levels, above_all):
         expected = looped_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
-        got = find_peaks(acc, rhos, thetas, min_votes, *nms, max_candidates)
+        cells = cells_of(acc, min_votes)
+        got = find_peaks(cells, rhos, thetas, *nms, max_candidates)
         assert got == expected
         assert all(type(v) is t for peak in got
                    for v, t in zip(peak, (float, float, int)))
-    assert find_peaks(acc, rhos, thetas, above_all, *nms, max_candidates) == []
+        assert np.array_equal(grid_of(cells, *acc.shape),
+                              np.where(acc >= min_votes, acc, 0))
+    assert find_peaks(cells_of(acc, above_all), rhos, thetas, *nms, max_candidates) == []
     assert np.array_equal(acc, before)
 
 
@@ -204,12 +229,63 @@ def test_find_peaks_on_a_voted_mask_matches_the_loop():
     mask[rng.random(mask.shape) < 0.05] = True
     mask[30, 10:150] = mask[60, 20:140] = True
     ys, xs = np.nonzero(mask)
-    acc, rhos, thetas = hough_accumulator(xs, ys, mask.shape)
-    before = acc.copy()
+    cells, rhos, thetas = hough_accumulator(xs, ys, mask.shape, min_votes=5)
+    acc = grid_of(cells, len(rhos), len(thetas))
     for max_candidates in (1, 20, acc.size + 1):
-        args = (acc, rhos, thetas, 5, 5.0, 5.0, max_candidates)
-        assert find_peaks(*args) == looped_peaks(*args)
-    assert np.array_equal(acc, before)
+        assert find_peaks(cells, rhos, thetas, 5.0, 5.0, max_candidates) == looped_peaks(
+            acc, rhos, thetas, 5, 5.0, 5.0, max_candidates)
+    assert np.array_equal(grid_of(cells, len(rhos), len(thetas)), acc)
+
+
+def test_find_peaks_grows_the_cells_it_picks_from():
+    # The top 600 cells share one NMS window, so the first peak uses up
+    # the first ~512 top-voted cells and the later peaks lie below them.
+    rng = np.random.default_rng(3)
+    acc = rng.integers(1, 40, size=(1200, 20))
+    acc[:30] += 1000
+    rhos, thetas = np.arange(1200.0), np.arange(0.0, 180.0, 9.0)
+    args = (100.0, 180.0, 8)
+    got = find_peaks(cells_of(acc), rhos, thetas, *args)
+    assert got == looped_peaks(acc, rhos, thetas, 1, *args)
+    assert len(got) == 8 and got[1][2] < np.sort(acc, axis=None)[-512]
+
+
+def test_find_peaks_without_suppression_beyond_the_first_cells():
+    rng = np.random.default_rng(11)
+    mask = np.zeros((90, 160), dtype=bool)
+    mask[rng.random(mask.shape) < 0.05] = True
+    ys, xs = np.nonzero(mask)
+    cells, rhos, thetas = hough_accumulator(xs, ys, mask.shape, min_votes=4)
+    assert len(cells[2]) > 700
+    acc = grid_of(cells, len(rhos), len(thetas))
+    got = find_peaks(cells, rhos, thetas, 0.0, 0.0, 700)
+    assert len(got) == 700
+    assert got == looped_peaks(acc, rhos, thetas, 4, 0.0, 0.0, 700)
+
+
+@pytest.mark.parametrize("min_votes", [0, -3, math.nan])
+def test_accumulator_refuses_a_min_votes_below_one(min_votes):
+    with pytest.raises(InvalidConfig, match="min_votes"):
+        hough_accumulator(np.array([1, 2]), np.array([3, 4]), (50, 100), 1.0, 1.0,
+                          min_votes)
+
+
+def test_lines_from_pixels_never_allocates_the_full_grid():
+    # a word-sized box of 3000 pixels on a 6000 x 4000 image, whose
+    # 14421 x 180 int64 grid takes 19.8 MiB
+    shape = (4000, 6000)
+    ys, xs = np.nonzero(np.ones((30, 100), dtype=bool))
+    ys, xs = ys + 2000, xs + 3000
+    half_bins = math.ceil(math.hypot(shape[1] - 1, shape[0] - 1))
+    grid_bytes = (2 * half_bins + 1) * 180 * 8
+    tracemalloc.start()
+    try:
+        segments = lines_from_pixels(xs, ys, shape, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert segments
+    assert peak < grid_bytes / 2
 
 
 @pytest.mark.parametrize("rho_res, theta_res", [(1e-300, 1.0), (1.0, 1e-300),

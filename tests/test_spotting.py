@@ -191,6 +191,15 @@ class TestSampleLineDescriptor:
         with pytest.raises(DegenerateSegment):
             sample_line_descriptor(self.prob, seg)
 
+    @pytest.mark.parametrize("end", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                     (3.0, float("-inf")), (1e308, -1e308)])
+    def test_non_finite_segment_rejected(self, end):
+        # the last one has finite endpoints but a length that overflows
+        seg = LineSegment(-1e308 if end[0] == 1e308 else 0.0, 0.0, *end,
+                          rho=0, theta=90)
+        with pytest.raises(DegenerateSegment, match="non-finite"):
+            sample_line_descriptor(self.prob, seg)
+
     def test_sample_count_is_floor_length_plus_one(self):
         seg = LineSegment.from_endpoints(0, 0, 10.7, 0)
         assert len(sample_line_descriptor(self.prob, seg)) == 11
