@@ -17,7 +17,8 @@ from .masks import LossReport, LossWeights, MaskTriple, build_masks, evaluate_lo
 from .oracle import NoiseConfig, simulate
 from .spotting import (Detection, SpottingConfig, bigram_heatmap,
                        check_probability_map, hough_lines, query_descriptor,
-                       sample_line_descriptor, spot, threshold_mask)
+                       sample_line_descriptor, sample_line_descriptors, spot,
+                       threshold_mask)
 
 __version__ = "0.1.0"
 
@@ -38,6 +39,7 @@ __all__ = [
     "NoiseConfig", "simulate",
     "Detection", "SpottingConfig", "bigram_heatmap", "check_probability_map",
     "hough_lines",
-    "query_descriptor", "sample_line_descriptor", "spot", "threshold_mask",
+    "query_descriptor", "sample_line_descriptor", "sample_line_descriptors", "spot",
+    "threshold_mask",
     "errors",
 ]

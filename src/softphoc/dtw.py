@@ -7,16 +7,20 @@ from .errors import EmptySequence, ShapeMismatch
 NORM_EPS = 1e-12
 
 
-def cosine_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise local costs 1 - cos(u, v); cost 1 where a vector has
-    (near-)zero norm."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+def _cosine_cost(products: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """1 - cos(u, v) from the dot products of rows u and v and their norms
+    na and nb; cost 1 where a norm is (near) zero."""
     denom = np.outer(np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS))
-    cost = 1.0 - (a @ b.T) / denom
+    cost = 1.0 - products / denom
     cost[na < NORM_EPS, :] = 1.0
     cost[:, nb < NORM_EPS] = 1.0
     return np.maximum(cost, 0.0)
+
+
+def cosine_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise local costs 1 - cos(u, v); cost 1 where a vector has
+    (near-)zero norm."""
+    return _cosine_cost(a @ b.T, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
 
 
 def _sequence(seq) -> np.ndarray:
@@ -45,8 +49,12 @@ def dtw_distances(samples, reference) -> np.ndarray:
     D[i] = S + minimum.accumulate(u - S), the running minimum carrying
     the move (i, j-1). All K sequences advance together as a (K, |reference|)
     state over their stacked cost matrices, shorter ones padded at the
-    bottom; sequence k's distance is read at its own last row, so each
-    result is bit-identical to a run on that sequence alone.
+    bottom, in buffers allocated once; sequence k's distance is read at
+    its own last row from the record of the last column. The reference's
+    norms and the cumulative sums of all cost rows are computed once for
+    the batch; the dot products stay one matmul per sequence, because a
+    stacked matmul may sum in another order. Each result is
+    bit-identical to a run on that sequence alone.
     """
     reference = _sequence(reference)
     samples = [_sequence(s) for s in samples]
@@ -59,17 +67,25 @@ def dtw_distances(samples, reference) -> np.ndarray:
 
     lengths = np.array([len(seq) for seq in samples])
     k, m = len(samples), len(reference)
+    norms = np.linalg.norm(reference, axis=1)
     cost = np.zeros((lengths.max(), k, m))
     for j, seq in enumerate(samples):
-        cost[:len(seq), j] = cosine_cost_matrix(seq, reference)
-    last = np.empty(k)
-    inf_column = np.full((k, 1), np.inf)
-    acc = np.cumsum(cost[0], axis=1)  # first row: only the move (i, j-1)
-    for i, c in enumerate(cost):
-        if i:
-            u = c + np.minimum(acc, np.concatenate((inf_column, acc[:, :-1]), axis=1))
-            s = np.cumsum(c, axis=1)
-            acc = s + np.minimum.accumulate(u - s, axis=1)
-        ends = lengths == i + 1
-        last[ends] = acc[ends, -1]
-    return last / (lengths + m)
+        cost[:len(seq), j] = _cosine_cost(seq @ reference.T, np.linalg.norm(seq, axis=1),
+                                          norms)
+    sums = np.cumsum(cost, axis=2)
+    # acc is state[:, 1:], and state[:, :-1] the same shifted one column
+    # right behind an inf: D[i-1, j-1]
+    state = np.full((k, m + 1), np.inf)
+    acc, diagonal = state[:, 1:], state[:, :-1]
+    acc[:] = sums[0]  # first row: only the move (i, j-1)
+    u = np.empty((k, m))
+    last_column = np.empty((len(cost), k))
+    last_column[0] = acc[:, -1]
+    for i in range(1, len(cost)):
+        np.minimum(acc, diagonal, out=u)
+        u += cost[i]
+        u -= sums[i]
+        np.minimum.accumulate(u, axis=1, out=u)
+        np.add(sums[i], u, out=acc)
+        last_column[i] = acc[:, -1]
+    return last_column[lengths - 1, np.arange(k)] / (lengths + m)

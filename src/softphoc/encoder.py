@@ -13,7 +13,8 @@ column in [lower, upper); the accumulated tensor is finally
 L1-normalized per pixel over the 37 character channels, giving every
 pixel a character probability distribution. Scene tensors are assembled
 by projecting each word's crop tensor through the homography onto its
-quadrilateral.
+quadrilateral; only the crop channels of the word's own characters are
+sampled, since every other channel of the crop is 0.
 """
 
 from dataclasses import dataclass
@@ -142,7 +143,8 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
     Returns (image_height, image_width, 38) float32. Pixels covered by
     no word are background one-hot; where words overlap, later words in
     the list overwrite earlier ones. Every pixel is a probability
-    distribution over the 38 channels.
+    distribution over the 38 channels. Each word samples only its own
+    characters' crop channels, the others of its crop being 0.
     """
     out = np.zeros((scene.image_height, scene.image_width, alphabet.NUM_CLASSES),
                    dtype=np.float32)
@@ -150,9 +152,12 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
     claimed = np.zeros(out.shape[:2], dtype=bool)
     for word in scene.words:
         crop_w, crop_h = word_crop_size(word)
-        crop = encode_word(word.transcription, crop_w, crop_h)
-        x0, y0, covered, samples = _warp_word(
+        live = sorted(set(alphabet.transcription_to_classes(word.transcription)))
+        crop = encode_word(word.transcription, crop_w, crop_h)[..., live]
+        x0, y0, covered, live_samples = _warp_word(
             word, scene.image_width, scene.image_height, crop=crop)
+        samples = np.zeros((len(live_samples), alphabet.NUM_CLASSES))
+        samples[:, live] = live_samples
         keep = samples[:, 1:].sum(axis=-1) > MASS_EPS
         take = covered.copy()
         take[covered] = keep

@@ -36,8 +36,8 @@ from .spotting import Detection
 
 TENSOR_MAGIC = b"SPHOC\x00v1"
 IGNORE_TRANSCRIPTION = "###"
-# Rows of a tensor file written or read together: about this many bytes,
-# at least one row.
+# Rows of a tensor file written together: about this many bytes, at
+# least one row.
 TENSOR_BLOCK_BYTES = 1 << 20
 
 _DETECTION_COLUMNS = ("query", "status", "x1", "y1", "x2", "y2", "rho",
@@ -60,11 +60,10 @@ def write_tensor(path, tensor: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file into one writable float32 array: the (H, W, 38)
-    view of a C-order (38, H, W) one, so each channel is contiguous,
-    filled through a reused buffer of about TENSOR_BLOCK_BYTES of rows.
-    The header's payload size is checked against the file size before
-    any payload is read, so a lying header allocates nothing."""
+    """Read a tensor file into one writable, C-order (H, W, 38) float32
+    array, the file's own layout, with no staging copy. The header's
+    payload size is checked against the file size before any payload is
+    read, so a lying header allocates nothing."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
@@ -80,16 +79,10 @@ def read_tensor(path) -> np.ndarray:
         if found != 4 * count:
             raise TensorFormatError(
                 f"payload is {found} bytes, header promises {4 * count}")
-        planes = np.empty((channels, height, width), dtype=np.float32)
-        rows = max(1, TENSOR_BLOCK_BYTES // max(1, 4 * width * channels))
-        buf = np.empty(min(rows, height) * width * channels, dtype="<f4")
-        for top in range(0, height, rows):
-            n = min(rows, height - top)
-            block = buf[:n * width * channels]
-            if fh.readinto(block) != block.nbytes:  # the file shrank
-                raise TensorFormatError("truncated payload")
-            planes[:, top:top + n] = block.reshape(n, width, channels).transpose(2, 0, 1)
-    return planes.transpose(1, 2, 0)
+        tensor = np.empty((height, width, channels), dtype="<f4")
+        if fh.readinto(tensor) != tensor.nbytes:  # the file shrank
+            raise TensorFormatError("truncated payload")
+    return tensor.astype(np.float32, copy=False)
 
 
 def read_text(path) -> str:

@@ -14,8 +14,10 @@ corrupting the whole image: the filter's per-pixel sums do not depend on
 the array's extent, a window cut by the image keeps the image's
 reflecting edge, and at any other window edge the reflection brings in
 pure background, which is what lies beyond it, because a word box within
-r of a window would have merged into it. Cost and memory scale with the
-text area, not the image.
+r of a window would have merged into it. Within a window only the
+channels holding a nonzero value are blurred: any other is +0.0 there
+and across the reflected border, and a Gaussian of zeros is +0.0. Cost
+and memory scale with the text area, not the image.
 """
 
 import math
@@ -63,8 +65,9 @@ def simulate(scene: SceneAnnotation, cfg: NoiseConfig = NoiseConfig()) -> np.nda
     spread over the 37 character channels, move cfg.background_leak of
     the character mass to the background channel, then renormalize so
     every pixel stays a valid distribution. This runs only on merged
-    windows reaching the blur radius past the word boxes (see the module
-    docstring), with the same result as running it on the whole image.
+    windows reaching the blur radius past the word boxes, blurring only
+    the channels live in each window (see the module docstring), with
+    the same result as running it on the whole image.
     """
     out = embed_scene(scene)
     if cfg.is_identity:
@@ -99,8 +102,9 @@ def _overlap(a, b) -> bool:
 def _corrupt(x: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
     """Blur, confusion, leak and renormalization of a float64 block."""
     if cfg.blur_sigma > 0.0:
-        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0),
-                            truncate=TRUNCATE)
+        live = np.flatnonzero(x.any(axis=(0, 1)))
+        x[..., live] = gaussian_filter(x[..., live], truncate=TRUNCATE,
+                                       sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
     if cfg.confusion_rate > 0.0:
         char = x[..., 1:]
         mass = char.sum(axis=-1, keepdims=True)

@@ -33,7 +33,8 @@ its maxima (the memo is keyed on the caller's array); exact heat is
 gathered from the map itself, in blocks of about HEATMAP_BLOCK_BYTES,
 and converted to float64 as it is gathered. bigram_heatmap,
 the plain whole-map heatmap that tests compare spot() against, shares
-its pair-sum formula. All candidates are scored in one DTW pass.
+its pair-sum formula. All candidates are sampled in one bilinear
+read of the map and scored in one DTW pass.
 """
 
 import math
@@ -309,19 +310,37 @@ def sample_line_descriptor(prob: np.ndarray, segment: LineSegment) -> np.ndarray
     The segment is canonicalized (left-to-right, ties top-to-bottom)
     first, so reversed endpoints produce the identical sequence. Returns
     (floor(length) + 1, 38). Raises DegenerateSegment for a segment of
-    zero or non-finite length.
+    zero or non-finite length and InvalidProbabilityMap for a profile
+    that is not finite.
     """
-    seg = segment.canonical()
-    length = seg.length
-    if not math.isfinite(length):
-        raise DegenerateSegment("cannot sample a segment of non-finite length")
-    if length < 1e-9:
-        raise DegenerateSegment("cannot sample a zero-length segment")
-    n_samples = int(math.floor(length)) + 1
-    ts = np.arange(n_samples, dtype=np.float64)
-    ux = (seg.x2 - seg.x1) / length
-    uy = (seg.y2 - seg.y1) / length
-    return bilinear_sample(prob, seg.x1 + ts * ux, seg.y1 + ts * uy)
+    return sample_line_descriptors(prob, [segment])[0]
+
+
+def sample_line_descriptors(prob: np.ndarray, segments) -> list[np.ndarray]:
+    """sample_line_descriptor(prob, seg) for every seg in segments, read
+    from the map in one bilinear_sample call over all their points."""
+    starts, steps, counts = [], [], []
+    for segment in segments:
+        seg = segment.canonical()
+        length = seg.length
+        if not math.isfinite(length):
+            raise DegenerateSegment("cannot sample a segment of non-finite length")
+        if length < 1e-9:
+            raise DegenerateSegment("cannot sample a zero-length segment")
+        starts.append((seg.x1, seg.y1))
+        steps.append(((seg.x2 - seg.x1) / length, (seg.y2 - seg.y1) / length))
+        counts.append(int(math.floor(length)) + 1)
+    if not counts:
+        return []
+    ends = np.cumsum(counts)
+    # each point's step count along its own segment
+    ts = np.arange(ends[-1], dtype=np.float64) - np.repeat(ends - counts, counts)
+    (x0, y0), (ux, uy) = (np.repeat(np.array(a).T, counts, axis=1)
+                          for a in (starts, steps))
+    profiles = bilinear_sample(prob, x0 + ts * ux, y0 + ts * uy)
+    if not np.isfinite(profiles).all():
+        raise InvalidProbabilityMap("the map is not finite along a candidate line")
+    return np.split(profiles, ends[:-1])
 
 
 def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
@@ -332,7 +351,8 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     of a trained predictor, so the threshold is interpreted as a
     fraction of the strongest response. Candidates are ranked by DTW
     distance; ties fall back to more Hough votes, then smaller rho,
-    then smaller theta. A map whose heatmap peak is not finite raises
+    then smaller theta. A map whose heatmap peak is not finite, or that
+    is not finite along a candidate line (in any channel), raises
     InvalidProbabilityMap; check_probability_map checks the whole map.
     A map not of shape (height, width, 38) raises ShapeMismatch.
 
@@ -356,8 +376,7 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)
-    distances = dtw_distances(
-        [sample_line_descriptor(prob, seg) for seg in candidates], reference)
+    distances = dtw_distances(sample_line_descriptors(prob, candidates), reference)
     distance, best = min(zip(distances.tolist(), candidates),
                          key=lambda pair: (pair[0], -pair[1].votes,
                                            pair[1].rho, pair[1].theta))

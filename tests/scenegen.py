@@ -9,6 +9,9 @@ from softphoc.annotations import SceneAnnotation, WordAnnotation
 
 LETTERS = list(string.ascii_lowercase)
 LETTERS_DIGITS = LETTERS + list(string.digits)
+# Repeated letters, upper case, digits and class 37 (punctuation and
+# non-Latin letters), so words share some channels and not others.
+MIXED_CHARSET = list("aAbzZ0079!?-é")
 
 
 def rotated_rect_quad(cx, cy, width, height, angle_deg) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from softphoc.dtw import cosine_cost_matrix, dtw_distance, dtw_distances
 from softphoc.errors import EmptySequence, ShapeMismatch
 
-from oracles import oracle_cosine_cost, oracle_dtw
+from oracles import oracle_cosine_cost, oracle_dtw, padded_dtw_distances
 
 
 def one_hot(channel, dim=38):
@@ -105,3 +105,20 @@ def test_batch_rejects_bad_sequences():
         dtw_distances([], good)
     with pytest.raises(ShapeMismatch):
         dtw_distances([good, np.zeros((2, 37))], good)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_matches_the_padded_reference_to_the_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(8):
+        m = int(rng.choice([1, 2, int(rng.integers(3, 60))]))
+        reference = random_distribution_sequence(rng, m)
+        k = int(rng.choice([1, int(rng.integers(2, 25))]))
+        samples = [random_distribution_sequence(rng, int(rng.choice([1, rng.integers(2, 90)])))
+                   for _ in range(k)]
+        for seq in samples[::3]:
+            seq[rng.random(len(seq)) < 0.3] = 0.0  # zero-norm rows cost 1
+        if rng.random() < 0.3:
+            reference[rng.integers(m)] = 0.0
+        assert dtw_distances(samples, reference).tolist() == \
+            padded_dtw_distances(samples, reference).tolist()

@@ -8,7 +8,8 @@ from softphoc.encoder import embed_scene, encode_word, scene_coverage_mask
 from softphoc.errors import DegenerateQuad
 from softphoc.warp import apply_homography, bilinear_sample, homography
 
-from scenegen import random_scene, rotated_rect_quad
+from oracles import embed_scene_all_channels
+from scenegen import MIXED_CHARSET, random_scene, rotated_rect_quad
 
 
 def box_quad(x0, y0, x1, y1):
@@ -147,3 +148,25 @@ def test_unclaimed_covered_pixels_keep_the_earlier_word(monkeypatch):
     t = embed_scene(scene)
     assert np.array_equal(t, whole_image_embed(scene))
     assert np.all(t[12:18, 32:48, classify_char("a")] == 1.0)  # under second's empty half
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampling_only_the_words_channels_matches_all_channels(seed):
+    # negative separation: words overlap and later ones overwrite
+    scene = random_scene(np.random.default_rng(seed), image_size=(200, 150),
+                         n_words=6, min_len=1, max_len=8, separation=-12.0,
+                         charset=MIXED_CHARSET)
+    got, want = embed_scene(scene), embed_scene_all_channels(scene)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_overlapping_words_with_shared_and_distinct_channels():
+    scene = SceneAnnotation(120, 60, [
+        WordAnnotation(box_quad(5, 5, 70, 25), "Hello!"),
+        WordAnnotation(rotated_rect_quad(55, 25, 60, 14, 20.0), "l0L?"),
+        WordAnnotation(box_quad(40, 30, 110, 52), "ZZZ2024"),
+        WordAnnotation(box_quad(90, 2, 118, 20), "..."),
+    ])
+    got, want = embed_scene(scene), embed_scene_all_channels(scene)
+    assert got.tobytes() == want.tobytes()
+    assert got[..., 37].any() and got[..., classify_char("z")].any()

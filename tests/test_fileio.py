@@ -90,15 +90,15 @@ class TestTensorFile:
         assert path.stat().st_size == 20 + 3 * 2 * 38 * 4
         back[0, 0, 0] = 1.0
 
-    def test_read_map_is_channel_planar_with_the_file_values(self, tmp_path):
+    def test_read_map_is_c_order_with_the_file_values(self, tmp_path):
         path = tmp_path / "t.sphoc"
-        # more rows than one read block holds, and a height that is not a
+        # more rows than one write block holds, and a height that is not a
         # multiple of the block
         tensor = np.random.default_rng(1).random((61, 300, 38)).astype(np.float32)
         write_tensor(path, tensor)
         back = read_tensor(path)
         assert back.shape == (61, 300, 38) and back.dtype == np.float32
-        assert all(back[..., c].flags.c_contiguous for c in range(38))
+        assert back.flags.c_contiguous
         plain = np.fromfile(path, dtype="<f4", offset=20).reshape(61, 300, 38)
         assert np.array_equal(back, plain)
         assert back.tobytes() == tensor.tobytes()
@@ -115,10 +115,22 @@ class TestTensorFile:
         write_tensor(again, read_tensor(path))
         assert again.read_bytes() == path.read_bytes()
 
-    def test_writing_a_planar_map_copies_no_whole_map(self, tmp_path):
+    def test_reading_a_map_allocates_only_the_map(self, tmp_path):
         path = tmp_path / "t.sphoc"
-        write_tensor(path, np.random.default_rng(3).random((200, 300, 38)))
-        planar = read_tensor(path)  # 9.1 MB, not C-order
+        write_tensor(path, np.random.default_rng(4).random((200, 300, 38)))
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.nbytes == 200 * 300 * 38 * 4
+        assert peak <= back.nbytes + (64 << 10), peak
+
+    def test_writing_a_planar_map_copies_no_whole_map(self, tmp_path):
+        tensor = np.random.default_rng(3).random((200, 300, 38)).astype(np.float32)
+        # the (H, W, 38) view of a C-order (38, H, W) array: 9.1 MB, not C-order
+        planar = np.ascontiguousarray(tensor.transpose(2, 0, 1)).transpose(1, 2, 0)
         tracemalloc.start()
         try:
             write_tensor(tmp_path / "u.sphoc", planar)
@@ -126,6 +138,7 @@ class TestTensorFile:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20, peak
+        assert read_tensor(tmp_path / "u.sphoc").tobytes() == tensor.tobytes()
 
     def test_wrong_channel_count_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError):

@@ -4,10 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from softphoc import hough
 from softphoc.errors import InvalidConfig
+from softphoc.geometry import LineSegment
 from softphoc.hough import (HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator,
-                            lines_from_pixels)
+                            lines_from_pixels, refine_line, trim_line_to_mask)
 from softphoc.spotting import SpottingConfig, hough_lines
+
+from oracles import per_line_refine, per_line_trim
 
 CFG = SpottingConfig()
 
@@ -295,3 +299,112 @@ def test_accumulator_beyond_physical_memory_is_refused(rho_res, theta_res):
     xs, ys = np.array([1, 2]), np.array([3, 4])
     with pytest.raises(InvalidConfig, match="physical memory"):
         hough_accumulator(xs, ys, (50, 100), rho_res, theta_res)
+
+
+def refit_mask(seed, shape=(70, 130)):
+    """Random pixels left of x = 100, plus straight runs: horizontal,
+    vertical, diagonal, and a gapped one."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(shape, dtype=bool)
+    mask[:, :100] = rng.random((shape[0], 100)) < 0.04
+    mask[20, 5:95] = mask[45, 10:40] = mask[45, 43:90] = True
+    mask[5:65, 30] = True
+    idx = np.arange(50)
+    mask[10 + idx, 15 + idx] = True
+    mask[60, 110:125] = True  # collinear and alone on its row
+    mask[3, 120] = True  # a support of one pixel
+    return mask
+
+
+def per_line_lines(xs, ys, shape, cfg):
+    """lines_from_pixels with the per-line refit and trim."""
+    cells, rhos, thetas = hough_accumulator(xs, ys, shape, cfg.hough_rho_res,
+                                            cfg.hough_theta_res, cfg.hough_min_votes)
+    segments = []
+    for rho, theta, votes in find_peaks(cells, rhos, thetas, cfg.nms_rho, cfg.nms_theta,
+                                        cfg.max_candidates):
+        rho, theta = per_line_refine(rho, theta, xs, ys, cfg.band_halfwidth)
+        ends = per_line_trim(rho, theta, xs, ys, shape, cfg.band_halfwidth, cfg.gap_bridge)
+        if ends is not None:
+            segments.append(LineSegment(*ends[0], *ends[1], rho=rho, theta=theta,
+                                        votes=votes).canonical())
+    return segments
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7)])
+@pytest.mark.parametrize("band", [1e-3, 2.0, 8.0])
+@pytest.mark.parametrize("gap_bridge", [0, 5])
+@pytest.mark.parametrize("lines_per_block", [None, 3])
+def test_batched_refit_and_trim_match_the_per_line_references(
+        seed, rho_res, theta_res, band, gap_bridge, lines_per_block, monkeypatch):
+    mask = refit_mask(seed)
+    ys, xs = np.nonzero(mask)
+    if lines_per_block:
+        monkeypatch.setattr(hough, "HOUGH_BLOCK_BYTES", 8 * len(xs) * lines_per_block)
+    cfg = SpottingConfig(hough_rho_res=rho_res, hough_theta_res=theta_res,
+                         hough_min_votes=3, nms_rho=2.0, nms_theta=2.0,
+                         max_candidates=40, band_halfwidth=band, gap_bridge=gap_bridge)
+    cells, rhos, thetas = hough_accumulator(xs, ys, mask.shape, rho_res, theta_res, 3)
+    lines = [peak[:2] for peak in find_peaks(cells, rhos, thetas, 2.0, 2.0, 40)]
+    lines += [
+        (-5.0, 0.0), (-4.0, 90.0), (140.0, 0.0),  # beside the image, near edge pixels
+        (-300.0, 45.0),  # far outside: no support
+        (120.0, 0.0), (3.0, 90.0),  # through the one-pixel support
+        (60.0, 90.0), (60.3, 89.0), (30.0, 0.0), (30.0, 179.5),  # collinear runs
+    ]
+    refined = refine_line(lines, xs, ys, band)
+    assert refined == [per_line_refine(r, t, xs, ys, band) for r, t in lines]
+    for some in (lines, refined):
+        assert trim_line_to_mask(some, xs, ys, mask.shape, band, gap_bridge) == [
+            per_line_trim(r, t, xs, ys, mask.shape, band, gap_bridge) for r, t in some]
+    assert lines_from_pixels(xs, ys, mask.shape, cfg) == per_line_lines(xs, ys, mask.shape, cfg)
+
+
+def test_refit_and_trim_of_repeated_and_tiny_supports():
+    # two copies of one pixel: a support of two points with no spread
+    xs, ys = np.array([10, 10, 40, 41]), np.array([5, 5, 20, 20])
+    lines = [(10.0, 0.0), (5.0, 90.0), (20.0, 90.0), (40.0, 0.0), (0.0, 0.0)]
+    for band in (1e-3, 0.5, 2.0):
+        refined = refine_line(lines, xs, ys, band)
+        assert refined == [per_line_refine(r, t, xs, ys, band) for r, t in lines]
+        for gap in (0, 3):
+            assert trim_line_to_mask(refined, xs, ys, (30, 50), band, gap) == [
+                per_line_trim(r, t, xs, ys, (30, 50), band, gap) for r, t in refined]
+    assert refine_line([], xs, ys, 2.0) == []
+    assert trim_line_to_mask([], xs, ys, (30, 50), 2.0, 5) == []
+
+
+def test_refit_and_trim_blocks_stay_bounded_at_a_large_candidate_cap():
+    # 12k pixels and 2000 candidates: one (candidates, pixels) float64
+    # array would take 190 MB
+    rng = np.random.default_rng(5)
+    shape = (200, 300)
+    flat = np.sort(rng.choice(shape[0] * shape[1], size=12_000, replace=False))
+    ys, xs = np.unravel_index(flat, shape)
+    cfg = SpottingConfig(hough_min_votes=1, nms_rho=0.0, nms_theta=0.0,
+                         max_candidates=2000)
+    cells, rhos, thetas = hough_accumulator(xs, ys, shape, 1.0, 1.0, 1)
+    peaks = find_peaks(cells, rhos, thetas, 0.0, 0.0, 2000)
+    assert len(peaks) == 2000
+    tracemalloc.start()
+    try:
+        segments = lines_from_pixels(xs, ys, shape, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(segments) > 1000
+    assert peak < 16 * HOUGH_BLOCK_BYTES < 2000 * len(xs) * 8 / 10
+
+
+def test_find_peaks_keeps_its_peaks_as_the_cells_grow():
+    # 9000 distinct cells, small windows: the picking grows from 512 top
+    # cells to 2048 and 8192, each time suppressing the new cells around
+    # the peaks already found
+    rng = np.random.default_rng(17)
+    acc = rng.permutation(np.arange(1, 9001)).reshape(300, 30)
+    rhos, thetas = np.arange(300.0), np.arange(0.0, 180.0, 6.0)
+    for nms, cap in (((1.0, 6.0), 1100), ((0.0, 0.0), 2100)):
+        got = find_peaks(cells_of(acc), rhos, thetas, *nms, cap)
+        assert got == looped_peaks(acc, rhos, thetas, 1, *nms, cap)
+        assert len(got) == cap

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
 
-from softphoc import alphabet, oracle
+from softphoc import oracle
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.errors import InvalidConfig
 from softphoc.oracle import NoiseConfig, simulate
 
-from scenegen import random_scene
+from oracles import simulate_all_channels
+from scenegen import MIXED_CHARSET, random_scene
 
 
 def make_scene(seed=13):
@@ -51,25 +51,6 @@ def test_outputs_stay_distributions_across_configs():
         assert out.min() >= 0.0
 
 
-def whole_image_simulate(scene, cfg):
-    """The corruption written out over the whole image at once."""
-    x = embed_scene(scene).astype(np.float64)
-    if cfg.blur_sigma > 0.0:
-        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
-    if cfg.confusion_rate > 0.0:
-        char = x[..., 1:]
-        mass = char.sum(axis=-1, keepdims=True)
-        uniform = mass / alphabet.NUM_CHAR_CLASSES
-        x[..., 1:] = (1.0 - cfg.confusion_rate) * char + cfg.confusion_rate * uniform
-    if cfg.background_leak > 0.0:
-        char = x[..., 1:]
-        mass = char.sum(axis=-1)
-        x[..., 1:] = (1.0 - cfg.background_leak) * char
-        x[..., 0] += cfg.background_leak * mass
-    x /= x.sum(axis=-1, keepdims=True)
-    return x.astype(np.float32)
-
-
 def box_word(x0, y0, x1, y1, text):
     return WordAnnotation(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]],
                                    dtype=float), text)
@@ -83,6 +64,12 @@ BORDER_SCENE = SceneAnnotation(160, 120, [
 NEAR_PAIR_SCENE = SceneAnnotation(200, 80, [
     box_word(20, 30, 80, 46, "near"), box_word(88, 30, 150, 46, "pair")])
 EMPTY_SCENE = SceneAnnotation(90, 70, [])
+# Digits and "ab!?" merge into one window at sigma 1.5 and "zzz" keeps its
+# own, so the windows blur different channel sets; at sigma 45 one window
+# holds them all.
+CHANNEL_SETS_SCENE = SceneAnnotation(200, 80, [
+    box_word(10, 10, 60, 26, "0123"), box_word(66, 10, 116, 26, "ab!?"),
+    box_word(150, 50, 190, 66, "zzz")])
 
 
 def noisy(sigma):
@@ -90,7 +77,7 @@ def noisy(sigma):
 
 
 @pytest.mark.parametrize("scene_name", ["random", "overlapping", "border",
-                                        "near-pair", "empty"])
+                                        "near-pair", "channel-sets", "mixed", "empty"])
 @pytest.mark.parametrize("cfg", [
     noisy(0.0), noisy(0.3), noisy(1.5), noisy(3.3),
     NoiseConfig(blur_sigma=45.0, confusion_rate=0.1),  # window spans the image
@@ -104,14 +91,20 @@ def test_windowed_simulate_is_bit_identical_to_whole_image(scene_name, cfg):
                                     n_words=5, separation=-12.0),
         "border": BORDER_SCENE,
         "near-pair": NEAR_PAIR_SCENE,
+        "channel-sets": CHANNEL_SETS_SCENE,
+        "mixed": random_scene(np.random.default_rng(5), image_size=(160, 120), n_words=6,
+                              min_len=1, max_len=8, separation=-12.0,
+                              charset=MIXED_CHARSET),
         "empty": EMPTY_SCENE,
     }[scene_name]
-    assert np.array_equal(simulate(scene, cfg), whole_image_simulate(scene, cfg))
+    assert simulate(scene, cfg).tobytes() == simulate_all_channels(scene, cfg).tobytes()
 
 
 def test_overlapping_windows_merge_until_disjoint():
     assert len(oracle._windows(NEAR_PAIR_SCENE, 6)) == 1
     assert len(oracle._windows(NEAR_PAIR_SCENE, 3)) == 2
+    assert len(oracle._windows(CHANNEL_SETS_SCENE, 6)) == 2
+    assert len(oracle._windows(CHANNEL_SETS_SCENE, 180)) == 1
     # "four" reaches "two" only, and the merged box then reaches "three",
     # which no single word's window did.
     chain = SceneAnnotation(200, 120, [
@@ -119,7 +112,7 @@ def test_overlapping_windows_merge_until_disjoint():
         box_word(10, 60, 40, 76, "three"), box_word(110, 36, 150, 52, "four")])
     assert oracle._windows(chain, 6) == [(4, 83, 4, 157)]
     assert np.array_equal(simulate(chain, noisy(1.5)),
-                          whole_image_simulate(chain, noisy(1.5)))
+                          simulate_all_channels(chain, noisy(1.5)))
     scene = random_scene(np.random.default_rng(8), image_size=(400, 300), n_words=8,
                          separation=4.0)
     windows = oracle._windows(scene, 6)
@@ -138,7 +131,7 @@ def test_random_scenes_and_sigmas_are_bit_identical(seed):
     cfg = NoiseConfig(blur_sigma=float(rng.uniform(0.2, 4.0)),
                       confusion_rate=float(rng.uniform(0.0, 0.5)),
                       background_leak=float(rng.uniform(0.0, 0.5)))
-    assert np.array_equal(simulate(scene, cfg), whole_image_simulate(scene, cfg))
+    assert np.array_equal(simulate(scene, cfg), simulate_all_channels(scene, cfg))
 
 
 @pytest.mark.parametrize("sigma", [1e19, 1e300])

@@ -89,7 +89,7 @@ def test_spot_matches_golden_outputs():
 
 
 def test_spot_matches_golden_outputs_on_maps_read_from_files(tmp_path):
-    # write_tensor -> read_tensor gives the channel-planar map the CLI spots on
+    # write_tensor -> read_tensor gives the C-order map the CLI spots on
     def through_file(prob):
         path = tmp_path / "map.sphoc"
         write_tensor(path, prob)

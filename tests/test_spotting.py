@@ -12,7 +12,9 @@ from softphoc.oracle import simulate
 from softphoc.spotting import (HEATMAP_BLOCK_BYTES, TILE, SpottingConfig,
                                _tile_pixels, bigram_heatmap,
                                check_probability_map, query_descriptor,
-                               sample_line_descriptor, spot, threshold_mask)
+                               sample_line_descriptor, sample_line_descriptors,
+                               spot, threshold_mask)
+from softphoc.warp import bilinear_sample
 
 from oracles import oracle_clipped_length
 from scenegen import anagram_scene
@@ -94,7 +96,7 @@ class TestBigramHeatmap:
         heat = bigram_heatmap(prob, query)
         assert heat.dtype == np.float64
         assert np.array_equal(heat, expected)
-        # the channel-planar layout that read_tensor returns
+        # a channel-planar layout, each channel contiguous
         planar = np.ascontiguousarray(prob.transpose(2, 0, 1)).transpose(1, 2, 0)
         assert np.array_equal(bigram_heatmap(planar, query), heat)
 
@@ -204,6 +206,22 @@ class TestSampleLineDescriptor:
         seg = LineSegment.from_endpoints(0, 0, 10.7, 0)
         assert len(sample_line_descriptor(self.prob, seg)) == 11
 
+    def test_batch_matches_one_segment_at_a_time(self):
+        rng = np.random.default_rng(8)
+        ends = rng.uniform(-5.0, 70.0, size=(30, 4))
+        ends[:3, 2:] = ends[:3, :2] + [[0.5, 0.0], [0.0, 1.0], [3.0, 4.0]]  # 1-2 samples
+        segments = [LineSegment.from_endpoints(*e) for e in ends]
+        batch = sample_line_descriptors(self.prob, segments)
+        assert len(batch) == len(segments)
+        for seg, profile in zip(segments, batch):
+            seg = seg.canonical()
+            length = seg.length
+            ts = np.arange(int(np.floor(length)) + 1, dtype=np.float64)
+            expected = bilinear_sample(self.prob, seg.x1 + ts * ((seg.x2 - seg.x1) / length),
+                                       seg.y1 + ts * ((seg.y2 - seg.y1) / length))
+            assert np.array_equal(profile, expected)
+            assert np.array_equal(profile, sample_line_descriptor(self.prob, seg))
+
 
 class TestSpot:
     def test_single_word_scene(self):
@@ -279,3 +297,29 @@ class TestCheckProbabilityMap:
         prob[2, 1, 3] = 2e-3
         with pytest.raises(InvalidProbabilityMap):
             check_probability_map(prob)
+
+
+class TestNonFiniteProfiles:
+    def setup_method(self):
+        quad = box_quad(20, 20, 130, 40)
+        self.prob = embed_scene(SceneAnnotation(160, 60, [WordAnnotation(quad, "hello")]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_channel_the_query_does_not_use(self, value):
+        assert spot(self.prob, "hello") is not None
+        bad = self.prob.copy()
+        bad[..., 37] = value
+        with pytest.raises(InvalidProbabilityMap, match="not finite"):
+            spot(bad, "hello")
+
+    def test_sampling_a_non_finite_profile(self):
+        bad = self.prob.copy()
+        bad[10, 30, 5] = np.nan
+        across = LineSegment.from_endpoints(20, 10, 60, 10)
+        assert np.isfinite(sample_line_descriptor(self.prob, across)).all()
+        with pytest.raises(InvalidProbabilityMap):
+            sample_line_descriptor(bad, across)
+        assert sample_line_descriptors(bad, []) == []
+        below = LineSegment.from_endpoints(20, 30, 60, 30)
+        (profile,) = sample_line_descriptors(bad, [below])
+        np.testing.assert_array_equal(profile, sample_line_descriptor(self.prob, below))
