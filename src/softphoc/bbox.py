@@ -1,9 +1,8 @@
 """Axis-aligned bounding boxes derived from detected line segments."""
 
-import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSegment, EmptyTranscription
+from .errors import EmptyTranscription
 from .geometry import LineSegment
 
 
@@ -29,16 +28,11 @@ def line_to_bbox(segment: LineSegment, n_chars: int,
     box width; its height is the length divided by the character count.
     Otherwise the segment spans the box height and the width is the
     length multiplied by the character count. The result is clipped to
-    the image. Raises EmptyTranscription for an n_chars below 1 and
-    DegenerateSegment for a segment of zero or non-finite length.
+    the image. Raises EmptyTranscription for an n_chars below 1.
     """
     if not n_chars >= 1:
         raise EmptyTranscription(f"n_chars {n_chars} must be at least 1")
     length = segment.length
-    if not math.isfinite(length):
-        raise DegenerateSegment("cannot box a segment of non-finite length")
-    if length <= 0.0:
-        raise DegenerateSegment("cannot box a zero-length segment")
     angle = segment.angle_from_horizontal()
     cx, cy = segment.midpoint
     if abs(angle) <= 45.0:

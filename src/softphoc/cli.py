@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("out_detections")
     _add_config_flags(sp, SpottingConfig)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel query workers (output order is preserved)")
+                    help="parallel query threads, at most the CPU count "
+                         "(output order is preserved)")
     sp.set_defaults(run=_cmd_spot)
 
     ev = sub.add_parser("eval", help="score detections against ground truth")
@@ -144,7 +145,7 @@ def _cmd_spot(ns) -> int:
                  detection.dtw_distance, detection.candidates_considered)
         return fileio.format_detection_record(query, detection, box)
 
-    with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(ns.jobs, os.cpu_count() or 1)) as pool:
         records = list(pool.map(run_query, queries))
     fileio.write_detections(ns.out_detections, records)
     return 0

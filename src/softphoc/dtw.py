@@ -17,12 +17,6 @@ def _cosine_cost(products: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.nda
     return np.maximum(cost, 0.0)
 
 
-def cosine_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise local costs 1 - cos(u, v); cost 1 where a vector has
-    (near-)zero norm."""
-    return _cosine_cost(a @ b.T, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
-
-
 def _sequence(seq) -> np.ndarray:
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 2 or seq.shape[0] == 0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation
-from .errors import CropTooNarrow, EmptyTranscription, InvalidIndex
+from .errors import CropTooNarrow, InvalidIndex
 from .geometry import quad_mean_side_lengths, round_half_up
 from .warp import apply_homography, bilinear_sample, homography
 
@@ -66,15 +66,13 @@ def encode_word(transcription: str, width: int, height: int) -> np.ndarray:
     character channels sum to 1 and the background channel is 0. The
     output varies only along columns.
     """
-    if not transcription:
-        raise EmptyTranscription("cannot encode an empty transcription")
-    n = len(transcription)
+    classes = alphabet.transcription_to_classes(transcription)
+    n = len(classes)
     if width < n:
         raise CropTooNarrow(f"width {width} < {n} characters")
     if height < 1:
         raise InvalidIndex("height must be at least 1")
 
-    classes = alphabet.transcription_to_classes(transcription)
     row = np.zeros((width, alphabet.NUM_CLASSES), dtype=np.float64)
     for level in range(1, n + 1):
         for position in range(1, n + 1):

@@ -6,9 +6,9 @@ import numpy as np
 
 from .annotations import SceneAnnotation
 from .bbox import BoundingBox
-from .errors import DegenerateQuad, DegenerateSegment, SoftPhocError
-from .geometry import (LineSegment, quad_aabb, quad_area,
-                       quad_mean_side_lengths, segment_quad_overlap_length)
+from .errors import SoftPhocError
+from .geometry import (LineSegment, quad_aabb, quad_mean_side_lengths,
+                       segment_quad_overlap_length)
 from .spotting import Detection
 
 
@@ -54,18 +54,12 @@ def line_box_overlap(segment: LineSegment, quad: np.ndarray) -> float:
     clipped_length / max(segment_length, quad_major_axis), where
     clipped_length is the length of the segment inside the quad and the
     major axis is the longer mean side-pair length. Penalizes both
-    segments that undershoot the word and ones that overshoot it.
+    segments that undershoot the word and ones that overshoot it. Raises
+    DegenerateQuad for a quad of zero area.
     """
-    length = segment.length
-    if length <= 0.0:
-        raise DegenerateSegment("zero-length segment")
     quad = np.asarray(quad, dtype=float).reshape(4, 2)
-    if quad_area(quad) <= 0.0:
-        raise DegenerateQuad("quad has zero area")
-    clipped = segment_quad_overlap_length(
-        (segment.x1, segment.y1), (segment.x2, segment.y2), quad)
-    major_axis = max(quad_mean_side_lengths(quad))
-    return clipped / max(length, major_axis)
+    clipped = segment_quad_overlap_length(segment, quad)
+    return clipped / max(segment.length, max(quad_mean_side_lengths(quad)))
 
 
 def _evaluate(items, query_of, score, gt, threshold, threshold_name,

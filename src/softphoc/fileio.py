@@ -29,7 +29,7 @@ import numpy as np
 from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation, clamp_quad
 from .bbox import BoundingBox
-from .errors import (AnnotationParseError, EmptyTranscription,
+from .errors import (AnnotationParseError, DegenerateSegment, EmptyTranscription,
                      TensorFormatError, TextEncodingError)
 from .geometry import LineSegment
 from .spotting import Detection
@@ -179,7 +179,8 @@ def read_detections(path):
     """Parse a detection file into (query, Detection|None, BoundingBox|None)
     tuples, in file order. Only line 1 may be a "#" header; a later line
     starting with "#" is a record whose query starts with "#". Numeric
-    fields must be finite, box sizes >= 0 and segment endpoints apart."""
+    fields must be finite, box sizes >= 0 and the segment one that
+    LineSegment accepts: of length finite and above 0."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line or (lineno == 1 and line.startswith("#")):
@@ -208,10 +209,10 @@ def read_detections(path):
         if w < 0 or h < 0:
             raise AnnotationParseError(
                 f"line {lineno}: negative box width or height", line_number=lineno)
-        if (x1, y1) == (x2, y2):
-            raise AnnotationParseError(
-                f"line {lineno}: zero-length segment", line_number=lineno)
-        segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
+        try:
+            segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
+        except DegenerateSegment as exc:
+            raise AnnotationParseError(f"line {lineno}: {exc}", line_number=lineno)
         detection = Detection(query=query, segment=segment, dtw_distance=dtw_d)
         out.append((query, detection, BoundingBox(cx, cy, w, h)))
     return out

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,10 @@ class LineSegment:
 
     ``(rho, theta)`` satisfy ``x*cos(theta) + y*sin(theta) = rho`` with
     theta in degrees in [0, 180); both endpoints lie on that line up to
-    accumulator quantization.
+    accumulator quantization. The length, math.hypot of the endpoint
+    differences, must be finite and above 0: building any other segment
+    raises DegenerateSegment, so every segment has a direction and can
+    be sampled, boxed and scored.
     """
 
     x1: float
@@ -29,7 +33,13 @@ class LineSegment:
     theta: float
     votes: int = 0
 
-    @property
+    def __post_init__(self):
+        if not self.length < math.inf:  # also true for NaN
+            raise DegenerateSegment("segment of non-finite length")
+        if self.length == 0.0:
+            raise DegenerateSegment("zero-length segment")
+
+    @cached_property
     def length(self) -> float:
         return math.hypot(self.x2 - self.x1, self.y2 - self.y1)
 
@@ -46,11 +56,7 @@ class LineSegment:
     def angle_from_horizontal(self) -> float:
         """Direction angle in degrees in (-90, 90] of the canonical segment."""
         seg = self.canonical()
-        dx = seg.x2 - seg.x1
-        dy = seg.y2 - seg.y1
-        if dx == 0 and dy == 0:
-            raise DegenerateSegment("zero-length segment has no direction")
-        ang = math.degrees(math.atan2(dy, dx))
+        ang = math.degrees(math.atan2(seg.y2 - seg.y1, seg.x2 - seg.x1))
         if ang <= -90.0:
             ang += 180.0
         elif ang > 90.0:
@@ -60,10 +66,7 @@ class LineSegment:
     @classmethod
     def from_endpoints(cls, x1, y1, x2, y2, votes: int = 0) -> "LineSegment":
         """Build a segment, deriving (rho, theta) from the endpoints."""
-        dx, dy = x2 - x1, y2 - y1
-        if dx == 0 and dy == 0:
-            raise DegenerateSegment("endpoints coincide")
-        theta = (math.degrees(math.atan2(dy, dx)) + 90.0) % 180.0
+        theta = (math.degrees(math.atan2(y2 - y1, x2 - x1)) + 90.0) % 180.0
         rho = x1 * math.cos(math.radians(theta)) + y1 * math.sin(math.radians(theta))
         return cls(x1, y1, x2, y2, rho, theta, votes).canonical()
 
@@ -110,20 +113,22 @@ def quad_aabb(quad: np.ndarray) -> tuple[float, float, float, float]:
     return q[:, 0].min(), q[:, 1].min(), q[:, 0].max(), q[:, 1].max()
 
 
-def segment_quad_overlap_length(p1, p2, quad: np.ndarray) -> float:
-    """Length of the part of segment p1-p2 inside a convex quadrilateral.
+def segment_quad_overlap_length(segment: LineSegment, quad: np.ndarray) -> float:
+    """Length of the part of a segment inside a convex quadrilateral.
 
     Parametric half-plane clipping; the quad's centroid defines the
-    interior side of each edge.
+    interior side of each edge. When a point reaches 2**510 in magnitude,
+    all points are first scaled by a power of two to below it: that keeps
+    each clip fraction and every cross product within the float range.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
     q = np.asarray(quad, dtype=float)
-    seg_len = float(np.linalg.norm(p2 - p1))
-    if seg_len <= 0.0:
-        raise DegenerateSegment("endpoints coincide")
     if quad_area(q) <= 0.0:
         raise DegenerateQuad("quad has zero area")
+    points = np.vstack((q, [(segment.x1, segment.y1), (segment.x2, segment.y2)]))
+    exponent = math.frexp(float(np.abs(points).max()))[1]
+    if exponent > 510:
+        points = np.ldexp(points, 510 - exponent)
+    q, p1, p2 = points[:4], points[4], points[5]
     centroid = q.mean(axis=0)
     t0, t1 = 0.0, 1.0
     for i in range(4):
@@ -141,7 +146,7 @@ def segment_quad_overlap_length(p1, p2, quad: np.ndarray) -> float:
             t0 = max(t0, f0 / (f0 - f1))
         elif f1 < 0.0:
             t1 = min(t1, f0 / (f0 - f1))
-    return max(0.0, t1 - t0) * seg_len
+    return max(0.0, t1 - t0) * segment.length
 
 
 # Direction components below this count as zero, and a line along an axis

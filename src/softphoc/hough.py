@@ -31,6 +31,13 @@ from .geometry import LineSegment, line_param_range_in_rect
 HOUGH_BLOCK_BYTES = 1 << 20
 
 
+def _blocks(items, n: int):
+    """items (a sequence) in runs whose (items, n) float64 arrays fit in
+    about HOUGH_BLOCK_BYTES, at least one item each."""
+    step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, n)))
+    return (items[i:i + step] for i in range(0, len(items), step))
+
+
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
                       rho_res: float = 1.0, theta_res: float = 1.0,
                       min_votes: int = 1):
@@ -59,10 +66,9 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     # bound every bin its pixels vote in.
     corner_x = np.array([xs.min(), xs.max()] * 2) if len(xs) else np.zeros(0)
     corner_y = np.repeat([ys.min(), ys.max()], 2) if len(ys) else np.zeros(0)
-    step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, len(xs))))
     cells = []
-    for t0 in range(0, len(thetas), step):
-        t1 = min(t0 + step, len(thetas))
+    for block in _blocks(range(len(thetas)), len(xs)):
+        t0, t1 = block.start, block.stop
         r = xs * cos_t[t0:t1] + ys * sin_t[t0:t1]
         corners = corner_x * cos_t[t0:t1] + corner_y * sin_t[t0:t1]
         if rho_res != 1.0:  # x / 1.0 is x
@@ -111,9 +117,8 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
         top = top[np.lexsort((cell_t[top], cell_r[top]))]
         rho, theta = rhos[cell_r[top]], thetas[cell_t[top]]
         votes = cell_v[top]
-        step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, len(top))))
-        for i in range(0, len(peaks), step):
-            peak_rho, peak_theta, _ = np.array(peaks[i:i + step]).T
+        for block in _blocks(peaks, len(top)):
+            peak_rho, peak_theta, _ = np.array(block).T
             near = ((np.abs(rho - peak_rho[:, None]) <= nms_rho)
                     & (np.abs(theta - peak_theta[:, None]) <= nms_theta))
             votes[near.any(axis=0)] = -1
@@ -142,13 +147,6 @@ def _offsets(lines, xs: np.ndarray, ys: np.ndarray):
     off += ys * s[:, None]
     off -= rho[:, None]
     return c, s, np.abs(off, out=off)
-
-
-def _blocks(lines, n_pixels: int):
-    """lines in runs whose (lines, pixels) float64 arrays fit in about
-    HOUGH_BLOCK_BYTES, at least one line each."""
-    step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, n_pixels)))
-    return (lines[i:i + step] for i in range(0, len(lines), step))
 
 
 def refine_line(lines, xs: np.ndarray, ys: np.ndarray,

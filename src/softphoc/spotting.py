@@ -49,8 +49,7 @@ from . import alphabet, hough
 # checks that the tracer wraps it on this module.
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
 from .encoder import encode_word
-from .errors import (DegenerateSegment, EmptyTranscription,
-                     InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
+from .errors import (InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
                      check_fields)
 from .geometry import LineSegment
 from .warp import bilinear_sample
@@ -298,8 +297,6 @@ def hough_lines(mask: np.ndarray, cfg: SpottingConfig = SpottingConfig()) -> lis
 
 def query_descriptor(query: str, cfg: SpottingConfig = SpottingConfig()) -> np.ndarray:
     """Fixed-width (samples_per_char * |query|, 38) descriptor sequence."""
-    if not query:
-        raise EmptyTranscription("query must be non-empty")
     width = cfg.query_samples_per_char * len(query)
     return encode_word(query, width, 1)[0]
 
@@ -309,8 +306,7 @@ def sample_line_descriptor(prob: np.ndarray, segment: LineSegment) -> np.ndarray
 
     The segment is canonicalized (left-to-right, ties top-to-bottom)
     first, so reversed endpoints produce the identical sequence. Returns
-    (floor(length) + 1, 38). Raises DegenerateSegment for a segment of
-    zero or non-finite length and InvalidProbabilityMap for a profile
+    (floor(length) + 1, 38). Raises InvalidProbabilityMap for a profile
     that is not finite.
     """
     return sample_line_descriptors(prob, [segment])[0]
@@ -323,10 +319,6 @@ def sample_line_descriptors(prob: np.ndarray, segments) -> list[np.ndarray]:
     for segment in segments:
         seg = segment.canonical()
         length = seg.length
-        if not math.isfinite(length):
-            raise DegenerateSegment("cannot sample a segment of non-finite length")
-        if length < 1e-9:
-            raise DegenerateSegment("cannot sample a zero-length segment")
         starts.append((seg.x1, seg.y1))
         steps.append(((seg.x2 - seg.x1) / length, (seg.y2 - seg.y1) / length))
         counts.append(int(math.floor(length)) + 1)
@@ -363,8 +355,6 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     prob.copy(). As the memo holds a weak reference to the map, numpy
     refuses to resize() it while it lives.
     """
-    if not query:
-        raise EmptyTranscription("query must be non-empty")
     given, prob = prob, np.asarray(prob)
     if prob.ndim != 3 or prob.shape[2] != alphabet.NUM_CLASSES:
         raise ShapeMismatch(f"map of shape {prob.shape} is not "

@@ -71,9 +71,8 @@ def test_clipping_to_image():
 
 
 def test_degenerate_segment_rejected():
-    seg = LineSegment(5, 5, 5, 5, rho=0, theta=0)
     with pytest.raises(DegenerateSegment):
-        line_to_bbox(seg, 3, BIG)
+        line_to_bbox(LineSegment(5, 5, 5, 5, rho=0, theta=0), 3, BIG)
 
 
 @pytest.mark.parametrize("n_chars", [0, -2])
@@ -86,6 +85,5 @@ def test_fewer_than_one_character_rejected(n_chars):
                                     (10.0, -math.inf), (math.nan, math.nan)])
 def test_non_finite_segment_rejected(x2, y2):
     # (0, 0)-(nan, 0) used to give the whole 80 x 40 image as its box
-    seg = LineSegment(0.0, 0.0, x2, y2, rho=0, theta=90)
     with pytest.raises(DegenerateSegment, match="non-finite"):
-        line_to_bbox(seg, 3, (80, 40))
+        line_to_bbox(LineSegment(0.0, 0.0, x2, y2, rho=0, theta=90), 3, (80, 40))

@@ -181,6 +181,26 @@ class TestSpot:
         assert one.read_bytes() == two.read_bytes()
         assert "\tfound\t" in one.read_text()
 
+    def test_jobs_never_exceed_the_cpu_count(self, tmp_path, monkeypatch):
+        # --jobs used to go to the pool unchanged: one thread per query
+        # up to N, and a failed start ended in a traceback
+        asked = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(min(max_workers, 3), **kwargs)
+
+        tensor = self.make_tensor(tmp_path)
+        queries = tmp_path / "q.txt"
+        queries.write_text("DIRECTORY\nzzzz\ndirectory\n")
+        one, many = tmp_path / "1.tsv", tmp_path / "many.tsv"
+        assert run(["spot", tensor, queries, one, "--jobs", 1]) == 0
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        assert run(["spot", tensor, queries, many, "--jobs", 1000000]) == 0
+        assert asked == [min(1000000, os.cpu_count() or 1)]
+        assert many.read_bytes() == one.read_bytes()
+
     def test_config_flags_are_plumbed_through(self, tmp_path):
         tensor = self.make_tensor(tmp_path)
         queries = tmp_path / "q.txt"
@@ -279,6 +299,33 @@ class TestEval:
         assert run(["eval", det, gt, "--mode", mode]) == 2
         err = capsys.readouterr().err
         assert "line 2: zero-length segment" in err and "Traceback" not in err
+
+
+    def write_hello(self, tmp_path, x1, x2):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("10,10,60,10,60,30,10,30,hello\n")
+        det = tmp_path / "det.tsv"
+        det.write_text("# header\n" + "\t".join(
+            ["hello", "found", x1, "20", x2, "20", "20", "90", "0.1",
+             "35", "20", "50", "20"]) + "\n")
+        return gt, det
+
+    @pytest.mark.parametrize("x1, x2", [("-1e308", "1e307"), ("0", "1e-320")])
+    def test_far_reaching_or_tiny_line_is_a_false_positive(self, tmp_path, capsys,
+                                                           x1, x2):
+        gt, det = self.write_hello(tmp_path, x1, x2)
+        assert run(["eval", det, gt, "--mode", "line"]) == 0
+        captured = capsys.readouterr()
+        assert "true_positives: 0" in captured.out
+        assert "false_positives: 1" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("mode", ["line", "bbox"])
+    def test_overflowing_segment_length_exits_2(self, tmp_path, capsys, mode):
+        gt, det = self.write_hello(tmp_path, "-1e308", "1e308")
+        assert run(["eval", det, gt, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: segment of non-finite length\n"
 
 
 def test_module_entry_point(tmp_path):

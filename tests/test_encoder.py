@@ -71,6 +71,8 @@ class TestEncodeWord:
     def test_empty_and_narrow(self):
         with pytest.raises(EmptyTranscription):
             encode_word("", 10, 1)
+        with pytest.raises(EmptyTranscription):  # not CropTooNarrow
+            encode_word("", 0, 1)
         with pytest.raises(CropTooNarrow):
             encode_word("abcdef", 5, 1)
 

@@ -1,5 +1,11 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.bbox import BoundingBox
@@ -11,6 +17,7 @@ from softphoc.geometry import LineSegment
 from softphoc.spotting import Detection
 
 from oracles import oracle_clipped_length
+from scenegen import rotated_rect_quad
 
 
 def box_quad(x0, y0, x1, y1):
@@ -66,6 +73,29 @@ class TestLineBoxOverlap:
             line_box_overlap(segment(0, 0, 5, 5), collapsed)
 
 
+COORD = st.one_of(st.floats(-1.7e308, 1.7e308), st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.tuples(COORD, COORD, COORD, COORD),
+       cx=st.floats(-100, 300), cy=st.floats(-100, 300), width=st.floats(1, 300),
+       height=st.floats(1, 80), angle=st.floats(-180, 180))
+def test_overlap_is_bounded_by_the_quad_diagonal(ends, cx, cy, width, height, angle):
+    # The part of a segment inside a convex quad is no longer than the
+    # quad's diagonal, however far the segment reaches; edge cross
+    # products that overflowed used to count a whole far-off segment in.
+    try:
+        seg = LineSegment(*ends, rho=0.0, theta=0.0)
+    except DegenerateSegment:
+        return
+    quad = rotated_rect_quad(cx, cy, width, height, angle)
+    diagonal = max(math.dist(a, b) for a, b in itertools.combinations(quad, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        overlap = line_box_overlap(seg, quad)
+    assert 0.0 <= overlap <= diagonal / seg.length + 1e-12
+
+
 def make_gt():
     return SceneAnnotation(200, 100, [
         WordAnnotation(box_quad(10, 10, 90, 26), "alpha"),
@@ -102,6 +132,13 @@ class TestEvaluateLines:
         detections = [centerline_detection("ALPHA", gt.words[0].quad)]
         report = evaluate_lines(detections, gt, threshold=0.5)
         assert report.true_positives == 1
+
+    @pytest.mark.parametrize("x1, x2", [(-1e308, 1e307), (0.0, 1e-320)])
+    def test_far_reaching_or_tiny_line_is_a_false_positive(self, x1, x2):
+        gt = SceneAnnotation(100, 50, [WordAnnotation(box_quad(10, 10, 60, 30), "hello")])
+        det = Detection("hello", LineSegment(x1, 20.0, x2, 20.0, 20.0, 90.0), 0.1)
+        report = evaluate_lines([det], gt, threshold=0.5)
+        assert (report.true_positives, report.false_positives) == (0, 1)
 
     def test_raising_threshold_never_adds_matches(self):
         gt = make_gt()

@@ -302,6 +302,25 @@ class TestDetectionRecords:
             read_detections(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("x1, x2", [("-1e308", "1e308"), ("-9e307", "9e307")])
+    def test_overflowing_segment_length_names_its_line(self, tmp_path, x1, x2):
+        # every field is finite, but the segment's length is not
+        path = tmp_path / "det.tsv"
+        fields = ["word", "found", x1, "20", x2, "20"] + ["1.0"] * 7
+        write_detections(path, [format_detection_record("ok", None, None),
+                                "\t".join(fields)])
+        with pytest.raises(AnnotationParseError,
+                           match="line 3: segment of non-finite length") as err:
+            read_detections(path)
+        assert err.value.line_number == 3
+
+    def test_subnormal_segment_length_accepted(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        fields = ["word", "found", "0", "20", "1e-320", "20"] + ["1.0"] * 7
+        write_detections(path, ["\t".join(fields)])
+        (_, det, _), = read_detections(path)
+        assert det.segment.length == 1e-320
+
     def test_zero_sized_box_accepted(self, tmp_path):
         path = tmp_path / "det.tsv"
         # a segment from (0, 0) to (1, 0); every other field 0

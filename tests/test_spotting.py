@@ -5,7 +5,7 @@ from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.errors import (DegenerateSegment, EmptyTranscription,
-                             InvalidProbabilityMap, SoftPhocError)
+                             InvalidProbabilityMap, ShapeMismatch, SoftPhocError)
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
 from softphoc.oracle import simulate
@@ -189,18 +189,16 @@ class TestSampleLineDescriptor:
                                       sample_line_descriptor(self.prob, rev))
 
     def test_degenerate_segment_rejected(self):
-        seg = LineSegment(5, 5, 5, 5, rho=0, theta=0)
         with pytest.raises(DegenerateSegment):
-            sample_line_descriptor(self.prob, seg)
+            sample_line_descriptor(self.prob, LineSegment(5, 5, 5, 5, rho=0, theta=0))
 
     @pytest.mark.parametrize("end", [(float("nan"), 0.0), (float("inf"), 0.0),
                                      (3.0, float("-inf")), (1e308, -1e308)])
     def test_non_finite_segment_rejected(self, end):
         # the last one has finite endpoints but a length that overflows
-        seg = LineSegment(-1e308 if end[0] == 1e308 else 0.0, 0.0, *end,
-                          rho=0, theta=90)
         with pytest.raises(DegenerateSegment, match="non-finite"):
-            sample_line_descriptor(self.prob, seg)
+            sample_line_descriptor(self.prob, LineSegment(
+                -1e308 if end[0] == 1e308 else 0.0, 0.0, *end, rho=0, theta=90))
 
     def test_sample_count_is_floor_length_plus_one(self):
         seg = LineSegment.from_endpoints(0, 0, 10.7, 0)
@@ -265,6 +263,14 @@ class TestSpot:
     def test_empty_query_rejected(self):
         with pytest.raises(EmptyTranscription):
             spot(np.zeros((4, 4, 38)), "")
+        with pytest.raises(EmptyTranscription):
+            spot(np.zeros((0, 4, 38)), "")
+        with pytest.raises(EmptyTranscription):
+            query_descriptor("", CFG)
+
+    def test_map_shape_is_checked_before_the_query(self):
+        with pytest.raises(ShapeMismatch):
+            spot(np.zeros((4, 4)), "")
 
     def test_non_finite_map_rejected(self):
         with pytest.raises(InvalidProbabilityMap):
