@@ -14,6 +14,8 @@ class WordAnnotation:
 
     The quad holds 4 (x, y) vertices ordered clockwise from the word's
     top-left corner (reading order), as in ICDAR-style ground truth.
+    Every coordinate must be finite and below 2**510 in magnitude, which
+    keeps the quad's area, turn, side-length and box products in range.
     """
 
     quad: np.ndarray
@@ -23,6 +25,9 @@ class WordAnnotation:
         self.quad = np.asarray(self.quad, dtype=float).reshape(4, 2)
         if not self.transcription:
             raise EmptyTranscription("word annotation needs a transcription")
+        if not np.all(np.abs(self.quad) < 2.0 ** 510):  # also false for NaN
+            raise DegenerateQuad(f"quad of {self.transcription!r} has a coordinate"
+                                 " out of range")
         if quad_area(self.quad) <= 0.0:
             raise DegenerateQuad(f"quad of {self.transcription!r} has zero area")
         if not quad_is_convex_clockwise(self.quad):

@@ -123,8 +123,7 @@ def _cmd_spot(ns) -> int:
         query = line.strip()
         if "\t" in query:
             raise AnnotationParseError(
-                f"{ns.queries}: line {lineno}: query may not contain tabs",
-                line_number=lineno)
+                f"{ns.queries}: line {lineno}: query may not contain tabs")
         if query:
             queries.append(query)
     if not queries:

@@ -140,14 +140,15 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
 
     Returns (image_height, image_width, 38) float32. Pixels covered by
     no word are background one-hot; where words overlap, later words in
-    the list overwrite earlier ones. Every pixel is a probability
-    distribution over the 38 channels. Each word samples only its own
-    characters' crop channels, the others of its crop being 0.
+    the list overwrite earlier ones. Each word's pixels are renormalized
+    over the character channels as they are written, so every pixel is a
+    probability distribution over the 38 channels. Each word samples
+    only its own characters' crop channels, the others of its crop
+    being 0.
     """
     out = np.zeros((scene.image_height, scene.image_width, alphabet.NUM_CLASSES),
                    dtype=np.float32)
     out[..., 0] = 1.0
-    claimed = np.zeros(out.shape[:2], dtype=bool)
     for word in scene.words:
         crop_w, crop_h = word_crop_size(word)
         live = sorted(set(alphabet.transcription_to_classes(word.transcription)))
@@ -159,18 +160,10 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
         keep = samples[:, 1:].sum(axis=-1) > MASS_EPS
         take = covered.copy()
         take[covered] = keep
-        block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
-        block[take] = samples[keep].astype(np.float32)
-        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
-
-    # Bilinear edges can leak mass: renormalize claimed pixels over the
-    # character channels (one whose character channels are all 0 goes
-    # back to background). Unclaimed pixels keep the one-hot set above.
-    ys, xs = np.nonzero(claimed)
-    px = out[ys, xs]
-    char_sum = px[:, 1:].sum(axis=-1)
-    safe = char_sum > 0
-    px[safe, 1:] /= char_sum[safe, None]
-    px[:, 0] = ~safe
-    out[ys, xs] = px
+        # Bilinear edges can leak mass: renormalize over the character
+        # channels. A kept pixel has float64 mass above MASS_EPS, so some
+        # channel, and the float32 sum, is above 0.
+        px = samples[keep].astype(np.float32)
+        px[:, 1:] /= px[:, 1:].sum(axis=-1, keepdims=True)
+        out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]][take] = px
     return out

@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two memory rules:
+check_memory refuses what would take more than physical memory, and
+blocks() splits a temporary array built in parts into blocks of about
+BLOCK_BYTES."""
 
 import os
+
+# Bytes of one block of a temporary array built in parts, at least one item.
+BLOCK_BYTES = 1 << 20
 
 
 class SoftPhocError(ValueError):
@@ -28,7 +34,7 @@ class ShapeMismatch(SoftPhocError):
 
 
 class DegenerateSegment(SoftPhocError):
-    """Line segment whose endpoints coincide."""
+    """Line segment of length zero or not finite."""
 
 
 class EmptySequence(SoftPhocError):
@@ -55,6 +61,13 @@ def check_memory(need, what: str) -> None:
                             f"{physical} bytes of physical memory")
 
 
+def blocks(items, item_bytes: int):
+    """items (a sequence) in runs of about BLOCK_BYTES at item_bytes per
+    item, at least one item each."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return (items[i:i + step] for i in range(0, len(items), step))
+
+
 class InvalidProbabilityMap(SoftPhocError):
     """Map with values outside [0, 1], not finite, or pixels whose
     channels do not sum to 1."""
@@ -69,8 +82,10 @@ class TextEncodingError(SoftPhocError):
 
 
 class AnnotationParseError(SoftPhocError):
-    """Unparseable ground-truth annotation line."""
+    """Unparseable ground-truth annotation line; the message starts with
+    "line N: " when the line number is given."""
 
     def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
+        super().__init__(message if line_number is None
+                         else f"line {line_number}: {message}")
         self.line_number = line_number

@@ -30,33 +30,29 @@ from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation, clamp_quad
 from .bbox import BoundingBox
 from .errors import (AnnotationParseError, DegenerateSegment, EmptyTranscription,
-                     TensorFormatError, TextEncodingError)
+                     TensorFormatError, TextEncodingError, blocks)
 from .geometry import LineSegment
 from .spotting import Detection
 
 TENSOR_MAGIC = b"SPHOC\x00v1"
 IGNORE_TRANSCRIPTION = "###"
-# Rows of a tensor file written together: about this many bytes, at
-# least one row.
-TENSOR_BLOCK_BYTES = 1 << 20
 
 _DETECTION_COLUMNS = ("query", "status", "x1", "y1", "x2", "y2", "rho",
                       "theta", "dtw", "bbox_cx", "bbox_cy", "bbox_w", "bbox_h")
 
 
 def write_tensor(path, tensor: np.ndarray) -> None:
-    """Write a map of any memory layout, about TENSOR_BLOCK_BYTES of rows
+    """Write a map of any memory layout, rows of about errors.BLOCK_BYTES
     at a time, so no copy of the whole map is made."""
     arr = np.asarray(tensor)
     if arr.ndim != 3 or arr.shape[2] != alphabet.NUM_CLASSES:
         raise TensorFormatError(f"expected (H, W, 38) tensor, got {arr.shape}")
     height, width, channels = arr.shape
-    rows = max(1, TENSOR_BLOCK_BYTES // max(1, 4 * width * channels))
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<III", height, width, channels))
-        for top in range(0, height, rows):
-            fh.write(np.ascontiguousarray(arr[top:top + rows], dtype="<f4").data)
+        for rows in blocks(arr, 4 * width * channels):
+            fh.write(np.ascontiguousarray(rows, dtype="<f4").data)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -112,24 +108,20 @@ def parse_annotations(text: str, image_width: int | None = None,
         parts = line.split(",", 8)
         if len(parts) != 9:
             raise AnnotationParseError(
-                f"line {lineno}: expected 8 coordinates and a transcription",
-                line_number=lineno)
+                "expected 8 coordinates and a transcription", lineno)
         try:
             coords = [int(p.strip()) for p in parts[:8]]
         except ValueError:
-            raise AnnotationParseError(
-                f"line {lineno}: non-integer coordinate", line_number=lineno)
+            raise AnnotationParseError("non-integer coordinate", lineno)
         transcription = parts[8]
         if transcription == IGNORE_TRANSCRIPTION:
             continue
         if not transcription:
-            raise AnnotationParseError(
-                f"line {lineno}: empty transcription", line_number=lineno)
+            raise AnnotationParseError("empty transcription", lineno)
         try:
             quad = np.array(coords, dtype=float).reshape(4, 2)
         except OverflowError:
-            raise AnnotationParseError(
-                f"line {lineno}: coordinate out of range", line_number=lineno)
+            raise AnnotationParseError("coordinate out of range", lineno)
         quads.append((lineno, quad, transcription))
 
     if image_width is None or image_height is None:
@@ -143,7 +135,7 @@ def parse_annotations(text: str, image_width: int | None = None,
                 quad=clamp_quad(quad, image_width, image_height),
                 transcription=transcription))
         except (EmptyTranscription, ValueError) as exc:
-            raise AnnotationParseError(f"line {lineno}: {exc}", line_number=lineno)
+            raise AnnotationParseError(str(exc), lineno)
     return SceneAnnotation(image_width=image_width, image_height=image_height,
                            words=words)
 
@@ -188,31 +180,26 @@ def read_detections(path):
         parts = line.split("\t")
         if len(parts) != len(_DETECTION_COLUMNS):
             raise AnnotationParseError(
-                f"line {lineno}: expected {len(_DETECTION_COLUMNS)} columns",
-                line_number=lineno)
+                f"expected {len(_DETECTION_COLUMNS)} columns", lineno)
         query, status = parts[0], parts[1]
         if status == "not-found":
             out.append((query, None, None))
             continue
         if status != "found":
-            raise AnnotationParseError(
-                f"line {lineno}: unknown status {status!r}", line_number=lineno)
+            raise AnnotationParseError(f"unknown status {status!r}", lineno)
         try:
             values = [float(v) for v in parts[2:]]
         except ValueError:
-            raise AnnotationParseError(
-                f"line {lineno}: malformed numeric field", line_number=lineno)
+            raise AnnotationParseError("malformed numeric field", lineno)
         if not all(map(math.isfinite, values)):
-            raise AnnotationParseError(
-                f"line {lineno}: numeric field not finite", line_number=lineno)
+            raise AnnotationParseError("numeric field not finite", lineno)
         x1, y1, x2, y2, rho, theta, dtw_d, cx, cy, w, h = values
         if w < 0 or h < 0:
-            raise AnnotationParseError(
-                f"line {lineno}: negative box width or height", line_number=lineno)
+            raise AnnotationParseError("negative box width or height", lineno)
         try:
             segment = LineSegment(x1, y1, x2, y2, rho=rho, theta=theta)
         except DegenerateSegment as exc:
-            raise AnnotationParseError(f"line {lineno}: {exc}", line_number=lineno)
+            raise AnnotationParseError(str(exc), lineno)
         detection = Detection(query=query, segment=segment, dtw_distance=dtw_d)
         out.append((query, detection, BoundingBox(cx, cy, w, h)))
     return out

@@ -8,15 +8,16 @@ keeping the longest run of positions backed by mask pixels within a
 perpendicular band, bridging small gaps.
 
 The accumulator votes in blocks of thetas whose (thetas, pixels) array
-of rho bins fits in about HOUGH_BLOCK_BYTES. One bincount counts a block
-over only the rho bins that the corners of the mask's bounding box
-reach, each theta's bins offset by its row in the block, and only the
-cells that reach the vote threshold are kept: the full (n_rho, n_theta)
-grid is never allocated, and its cost follows the mask, not the image.
-Peak picking sorts and scans only the top-voted of those cells (see
+of rho bins fits in about errors.BLOCK_BYTES, the package's one budget
+for arrays built in parts. One bincount counts a block over only the
+rho bins that the corners of the mask's bounding box reach, each
+theta's bins offset by its row in the block, and only the cells that
+reach the vote threshold are kept: the full (n_rho, n_theta) grid is
+never allocated, and its cost follows the mask, not the image. Peak
+picking sorts and scans only the top-voted of those cells (see
 find_peaks). The refit and the trim take all of a query's peaks at
 once: each computes the (lines, pixels) offsets of a block of lines,
-again of about HOUGH_BLOCK_BYTES, in one broadcast, and gives the same
+again of about BLOCK_BYTES, in one broadcast, and gives the same
 floats as fitting and trimming one line at a time.
 """
 
@@ -24,18 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidConfig, check_memory
+from .errors import InvalidConfig, blocks, check_memory
 from .geometry import LineSegment, line_param_range_in_rect
-
-# Bytes of one block's (thetas, pixels) vote array; at least one theta.
-HOUGH_BLOCK_BYTES = 1 << 20
-
-
-def _blocks(items, n: int):
-    """items (a sequence) in runs whose (items, n) float64 arrays fit in
-    about HOUGH_BLOCK_BYTES, at least one item each."""
-    step = max(1, HOUGH_BLOCK_BYTES // (8 * max(1, n)))
-    return (items[i:i + step] for i in range(0, len(items), step))
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -67,7 +58,7 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     corner_x = np.array([xs.min(), xs.max()] * 2) if len(xs) else np.zeros(0)
     corner_y = np.repeat([ys.min(), ys.max()], 2) if len(ys) else np.zeros(0)
     cells = []
-    for block in _blocks(range(len(thetas)), len(xs)):
+    for block in blocks(range(len(thetas)), 8 * len(xs)):
         t0, t1 = block.start, block.stop
         r = xs * cos_t[t0:t1] + ys * sin_t[t0:t1]
         corners = corner_x * cos_t[t0:t1] + corner_y * sin_t[t0:t1]
@@ -117,7 +108,7 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
         top = top[np.lexsort((cell_t[top], cell_r[top]))]
         rho, theta = rhos[cell_r[top]], thetas[cell_t[top]]
         votes = cell_v[top]
-        for block in _blocks(peaks, len(top)):
+        for block in blocks(peaks, 8 * len(top)):
             peak_rho, peak_theta, _ = np.array(block).T
             near = ((np.abs(rho - peak_rho[:, None]) <= nms_rho)
                     & (np.abs(theta - peak_theta[:, None]) <= nms_theta))
@@ -163,7 +154,7 @@ def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
     """
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     refined = []
-    for block in _blocks(list(lines), len(xs)):
+    for block in blocks(list(lines), 8 * len(xs)):
         near = np.flatnonzero(_offsets(block, xs, ys)[2] <= band_halfwidth)
         bounds = np.searchsorted(near, np.arange(len(block) + 1) * len(xs)).tolist()
         pixel = near % len(xs)
@@ -207,7 +198,7 @@ def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
     height, width = shape
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     trimmed = []
-    for block in _blocks(list(lines), len(xs)):
+    for block in blocks(list(lines), 8 * len(xs)):
         c, s, off = _offsets(block, xs, ys)
         near = off <= band_halfwidth
         ranges = [line_param_range_in_rect(rho, math.radians(theta), width, height)

@@ -30,7 +30,7 @@ A map must therefore not be written in place between calls on the same
 array: spot a changed map as a new array, such as prob.copy(). A map
 that is not native float32 or float64 is converted to float64 once, for
 its maxima (the memo is keyed on the caller's array); exact heat is
-gathered from the map itself, in blocks of about HEATMAP_BLOCK_BYTES,
+gathered from the map itself, in blocks of about errors.BLOCK_BYTES,
 and converted to float64 as it is gathered. bigram_heatmap,
 the plain whole-map heatmap that tests compare spot() against, shares
 its pair-sum formula. All candidates are sampled in one bilinear
@@ -50,14 +50,10 @@ from . import alphabet, hough
 from .dtw import dtw_distance, dtw_distances  # noqa: F401
 from .encoder import encode_word
 from .errors import (InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
-                     check_fields)
+                     blocks, check_fields)
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
-# Pixels whose heat spot() gathers together, at least one: about this
-# many bytes of pixel stride, small enough for a block to stay in cache
-# while each of the query's channels is read from it.
-HEATMAP_BLOCK_BYTES = 1 << 19
 # Side in pixels of the square tiles over which spot() bounds a query's
 # heat; the tiles at the bottom and right edges may be smaller.
 TILE = 16
@@ -201,15 +197,11 @@ def _tile_pixels(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def _heat_at(flat: np.ndarray, index: np.ndarray, classes: list[int]) -> np.ndarray:
     """Heat of the pixels flat[index] of an (H * W, 38) map, gathered in
-    blocks of about HEATMAP_BLOCK_BYTES of pixel stride, each block
-    once for all channels while it is in cache."""
-    step = max(1, HEATMAP_BLOCK_BYTES // max(1, abs(flat.strides[0])))
-    heat = np.empty(len(index))
-    for lo in range(0, len(index), step):
-        at = index[lo:lo + step]
-        heat[lo:lo + step] = _pair_heat(
-            {c: flat[:, c][at].astype(np.float64) for c in set(classes)}, classes)
-    return heat
+    blocks of about errors.BLOCK_BYTES of pixel stride, each block once
+    for all channels while it is in cache."""
+    return np.concatenate([
+        _pair_heat({c: flat[:, c][at].astype(np.float64) for c in set(classes)}, classes)
+        for at in blocks(index, abs(flat.strides[0]))])
 
 
 def mask_pixels(prob: np.ndarray, query: str, threshold: float):

@@ -39,11 +39,9 @@ def homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     # A rank-deficient system still yields some null vector; validate by
     # reprojecting the correspondences.
-    w = src[:, 0] * h[2, 0] + src[:, 1] * h[2, 1] + h[2, 2]
-    if np.any(np.abs(w) < 1e-12):
+    proj_x, proj_y, valid = apply_homography(h, src[:, 0], src[:, 1])
+    if not valid.all():
         raise DegenerateQuad("homography sends a corner to infinity")
-    proj_x = (src[:, 0] * h[0, 0] + src[:, 1] * h[0, 1] + h[0, 2]) / w
-    proj_y = (src[:, 0] * h[1, 0] + src[:, 1] * h[1, 1] + h[1, 2]) / w
     scale = max(1.0, np.abs(dst).max())
     if np.max(np.hypot(proj_x - dst[:, 0], proj_y - dst[:, 1])) > 1e-6 * scale:
         raise DegenerateQuad("no exact homography for the given quad")

@@ -321,6 +321,19 @@ class TestEval:
         assert captured.err == ""
 
     @pytest.mark.parametrize("mode", ["line", "bbox"])
+    def test_ground_truth_coordinate_out_of_range_exits_2(self, tmp_path, capsys,
+                                                         recwarn, mode):
+        # the shoelace area, edge turns and side lengths of this quad
+        # overflowed, and eval exited 0 after numpy RuntimeWarnings
+        gt, det = self.write_hello(tmp_path, "10", "60")
+        big = 10 ** 200
+        gt.write_text(f"0,0,{big},0,{big},{big},0,{big},big\n")
+        assert run(["eval", det, gt, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 1: quad of 'big' has a coordinate out of range\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("mode", ["line", "bbox"])
     def test_overflowing_segment_length_exits_2(self, tmp_path, capsys, mode):
         gt, det = self.write_hello(tmp_path, "-1e308", "1e308")
         assert run(["eval", det, gt, "--mode", mode]) == 2

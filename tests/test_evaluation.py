@@ -96,6 +96,38 @@ def test_overlap_is_bounded_by_the_quad_diagonal(ends, cx, cy, width, height, an
     assert 0.0 <= overlap <= diagonal / seg.length + 1e-12
 
 
+# Quad coordinates up to just below the 2**510 bound WordAnnotation keeps
+EDGE = math.nextafter(2.0 ** 510, 0.0)
+QUAD_COORD = st.one_of(st.floats(-EDGE, EDGE), st.floats(-300.0, 300.0),
+                       st.sampled_from([-EDGE, EDGE]))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(QUAD_COORD, QUAD_COORD), y=st.tuples(QUAD_COORD, QUAD_COORD),
+       skew=QUAD_COORD, ends=st.tuples(FINITE, FINITE, FINITE, FINITE),
+       box=st.tuples(FINITE, FINITE, FINITE, FINITE))
+def test_accepted_quad_scores_any_finite_record_without_warnings(x, y, skew, ends, box):
+    # a parallelogram, sheared by skew, is clockwise and convex when it
+    # has area; WordAnnotation refuses it once a vertex reaches 2**510
+    (x0, x1), (y0, y1) = sorted(x), sorted(y)
+    try:
+        word = WordAnnotation([[x0, y0], [x1, y0 + skew], [x1, y1 + skew], [x0, y1]], "big")
+        seg = LineSegment(*ends, rho=0.0, theta=0.0)
+    except (DegenerateQuad, DegenerateSegment):
+        return
+    gt = SceneAnnotation(640, 480, [word])
+    cx, cy, width, height = box
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lines = evaluate_lines([Detection("big", seg, 0.0)], gt, 0.5)
+        boxes = evaluate_bboxes([("big", BoundingBox(cx, cy, abs(width), abs(height)))],
+                                gt, 0.5)
+    for report in (lines, boxes):
+        assert report.true_positives + report.false_positives == 1
+
+
 def make_gt():
     return SceneAnnotation(200, 100, [
         WordAnnotation(box_quad(10, 10, 90, 26), "alpha"),

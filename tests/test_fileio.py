@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -214,6 +215,30 @@ class TestAnnotationParsing:
         assert err.value.line_number == 2
         with pytest.raises(DegenerateQuad):
             WordAnnotation(np.array(coords.split(","), dtype=float), "word")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0 ** 510, -2.0 ** 510])
+    def test_coordinate_not_finite_or_from_2_to_the_510_refused(self, bad):
+        quad = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
+        quad[2, 0] = bad
+        with pytest.raises(DegenerateQuad, match="quad of 'big' has a coordinate out of range"):
+            WordAnnotation(quad, "big")
+        # just below the bound, the products stay in range
+        edge = math.nextafter(2.0 ** 510, 0.0)
+        WordAnnotation(np.array([[-edge, -edge], [edge, -edge], [edge, edge], [-edge, edge]]),
+                       "big")
+
+    def test_overflowing_quad_names_its_line(self):
+        big = 10 ** 200
+        text = f"0,0,{big},0,{big},{big},0,{big},big\n"
+        with pytest.raises(AnnotationParseError) as err:
+            parse_annotations(text)
+        assert str(err.value) == "line 1: quad of 'big' has a coordinate out of range"
+        assert err.value.line_number == 1
+
+    def test_parse_error_prefixes_its_line_number(self):
+        assert str(AnnotationParseError("bad field", 7)) == "line 7: bad field"
+        assert AnnotationParseError("bad field", 7).line_number == 7
+        assert str(AnnotationParseError("bad field")) == "bad field"
 
     def test_collinear_vertex_allowed_while_area_is_positive(self):
         # a triangle with a vertex on one edge, as clamping can produce

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softphoc import hough
-from softphoc.errors import InvalidConfig
+from softphoc import errors
+from softphoc.errors import BLOCK_BYTES, InvalidConfig
 from softphoc.geometry import LineSegment
-from softphoc.hough import (HOUGH_BLOCK_BYTES, find_peaks, hough_accumulator,
-                            lines_from_pixels, refine_line, trim_line_to_mask)
+from softphoc.hough import (find_peaks, hough_accumulator, lines_from_pixels,
+                            refine_line, trim_line_to_mask)
 from softphoc.spotting import SpottingConfig, hough_lines
 
 from oracles import per_line_refine, per_line_trim
@@ -162,7 +162,7 @@ def per_theta_accumulator(xs, ys, shape, rho_res, theta_res):
 
 @pytest.mark.parametrize("n_pixels", [
     0, 1, 5000,
-    HOUGH_BLOCK_BYTES // 8 + 1])  # more pixels than a one-theta block holds
+    BLOCK_BYTES // 8 + 1])  # more pixels than a one-theta block holds
 @pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7)])
 def test_theta_blocks_match_per_theta_votes(n_pixels, rho_res, theta_res):
     shape = (400, 700)
@@ -341,7 +341,7 @@ def test_batched_refit_and_trim_match_the_per_line_references(
     mask = refit_mask(seed)
     ys, xs = np.nonzero(mask)
     if lines_per_block:
-        monkeypatch.setattr(hough, "HOUGH_BLOCK_BYTES", 8 * len(xs) * lines_per_block)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * len(xs) * lines_per_block)
     cfg = SpottingConfig(hough_rho_res=rho_res, hough_theta_res=theta_res,
                          hough_min_votes=3, nms_rho=2.0, nms_theta=2.0,
                          max_candidates=40, band_halfwidth=band, gap_bridge=gap_bridge)
@@ -394,7 +394,7 @@ def test_refit_and_trim_blocks_stay_bounded_at_a_large_candidate_cap():
     finally:
         tracemalloc.stop()
     assert len(segments) > 1000
-    assert peak < 16 * HOUGH_BLOCK_BYTES < 2000 * len(xs) * 8 / 10
+    assert peak < 16 * BLOCK_BYTES < 2000 * len(xs) * 8 / 10
 
 
 def test_find_peaks_keeps_its_peaks_as_the_cells_grow():

@@ -9,7 +9,8 @@ from softphoc.errors import (DegenerateSegment, EmptyTranscription,
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
 from softphoc.oracle import simulate
-from softphoc.spotting import (HEATMAP_BLOCK_BYTES, TILE, SpottingConfig,
+from softphoc.errors import BLOCK_BYTES
+from softphoc.spotting import (TILE, SpottingConfig,
                                _tile_pixels, bigram_heatmap,
                                check_probability_map, query_descriptor,
                                sample_line_descriptor, sample_line_descriptors,
@@ -72,17 +73,16 @@ class TestBigramHeatmap:
                                bigram_heatmap(prob, "silent"))
 
     # (height, width): a single row, a few rows, a tall map, rows wider than
-    # HEATMAP_BLOCK_BYTES, the block spot() gathers heat in (6899 float32
-    # pixels of 38 channels span two blocks; the other width is one pixel
-    # past a block), and empty maps; bigram_heatmap, the whole-map reference
-    # of spot(), must equal the pair products written out here on each
+    # BLOCK_BYTES, the block spot() gathers heat in (6899 float32 pixels of
+    # 38 channels span two blocks; 3450 span just over half a block), and
+    # empty maps; bigram_heatmap, the whole-map reference of spot(), must
+    # equal the pair products written out here on each
     @pytest.mark.parametrize("height, width", [
-        (1, 30), (7, 30), (721, 40), (3, 6899),
-        (3, HEATMAP_BLOCK_BYTES // (38 * 4) + 1), (0, 30), (5, 0)])
+        (1, 30), (7, 30), (721, 40), (3, 6899), (3, 3450), (0, 30), (5, 0)])
     @pytest.mark.parametrize("query", ["DIRECTORY", "k", "aaaa", "abab"])
     def test_row_blocks_match_whole_map_products(self, height, width, query):
         if width == 6899:
-            assert width * 38 * 4 > HEATMAP_BLOCK_BYTES
+            assert width * 38 * 4 > BLOCK_BYTES
         rng = np.random.default_rng(height * 31 + width)
         prob = rng.random((height, width, 38), dtype=np.float32)
         classes = [classify_char(ch) for ch in query]
