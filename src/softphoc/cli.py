@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 parse/validation errors (with the offending
 line where applicable; also out-of-range flag values, text inputs
 that are not UTF-8, maps that are not per-pixel distributions, map
-sizes beyond the u32 header or physical memory, and Hough accumulators
-or blur kernels beyond physical memory), 3 I/O errors and out
-of memory, 4 empty query list. Diagnostics go to stderr; verbosity is
-controlled by the SPHOC_LOG environment variable (error, info or debug).
+sizes beyond the u32 header, and maps, Hough accumulators, blur kernels,
+query encodings or DTW batches beyond physical memory), 3 I/O errors
+and out of memory, 4 empty query list. Diagnostics go to stderr;
+verbosity is set by the SPHOC_LOG environment variable (error, info or debug).
 """
 
 import argparse

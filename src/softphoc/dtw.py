@@ -2,19 +2,9 @@
 
 import numpy as np
 
-from .errors import EmptySequence, ShapeMismatch
+from .errors import EmptySequence, ShapeMismatch, check_memory
 
 NORM_EPS = 1e-12
-
-
-def _cosine_cost(products: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """1 - cos(u, v) from the dot products of rows u and v and their norms
-    na and nb; cost 1 where a norm is (near) zero."""
-    denom = np.outer(np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS))
-    cost = 1.0 - products / denom
-    cost[na < NORM_EPS, :] = 1.0
-    cost[:, nb < NORM_EPS] = 1.0
-    return np.maximum(cost, 0.0)
 
 
 def _sequence(seq) -> np.ndarray:
@@ -41,14 +31,14 @@ def dtw_distances(samples, reference) -> np.ndarray:
     Each row of a cost matrix is one vectorized update: with
     u = c_i + min(D[i-1, j], D[i-1, j-1]) and S = cumsum(c_i), the row is
     D[i] = S + minimum.accumulate(u - S), the running minimum carrying
-    the move (i, j-1). All K sequences advance together as a (K, |reference|)
-    state over their stacked cost matrices, shorter ones padded at the
-    bottom, in buffers allocated once; sequence k's distance is read at
-    its own last row from the record of the last column. The reference's
-    norms and the cumulative sums of all cost rows are computed once for
-    the batch; the dot products stay one matmul per sequence, because a
-    stacked matmul may sum in another order. Each result is
-    bit-identical to a run on that sequence alone.
+    the move (i, j-1). The K cosine cost matrices form one (rows, K, M)
+    stack, M = |reference|, padded at the bottom with product 0 and norm
+    1 (one matmul per sequence: a stacked one may sum in another order).
+    The DP state of all rows is one (rows, K, M + 1) array behind an inf
+    column, each row holding S until it holds D; sequence k's distance is
+    read at its own last row. The 16 * rows * K * (M + 1) bytes alive at
+    once are refused beyond physical memory (InvalidConfig) before any is
+    allocated. Each result is bit-identical to its sequence run alone.
     """
     reference = _sequence(reference)
     samples = [_sequence(s) for s in samples]
@@ -60,26 +50,27 @@ def dtw_distances(samples, reference) -> np.ndarray:
                                 f"{reference.shape[1]}")
 
     lengths = np.array([len(seq) for seq in samples])
-    k, m = len(samples), len(reference)
-    norms = np.linalg.norm(reference, axis=1)
-    cost = np.zeros((lengths.max(), k, m))
+    rows, k, m = int(lengths.max()), len(samples), len(reference)
+    check_memory(16.0 * rows * k * (m + 1),
+                 f"a DTW batch of {k} sequences of up to {rows} samples against {m}")
+    cost = np.zeros((rows, k, m))
+    norms = np.ones((rows, k))
     for j, seq in enumerate(samples):
-        cost[:len(seq), j] = _cosine_cost(seq @ reference.T, np.linalg.norm(seq, axis=1),
-                                          norms)
-    sums = np.cumsum(cost, axis=2)
-    # acc is state[:, 1:], and state[:, :-1] the same shifted one column
-    # right behind an inf: D[i-1, j-1]
-    state = np.full((k, m + 1), np.inf)
-    acc, diagonal = state[:, 1:], state[:, :-1]
-    acc[:] = sums[0]  # first row: only the move (i, j-1)
-    u = np.empty((k, m))
-    last_column = np.empty((len(cost), k))
-    last_column[0] = acc[:, -1]
-    for i in range(1, len(cost)):
-        np.minimum(acc, diagonal, out=u)
+        cost[:len(seq), j] = seq @ reference.T
+        norms[:len(seq), j] = np.linalg.norm(seq, axis=1)
+    reference_norms = np.linalg.norm(reference, axis=1)
+    cost /= np.maximum(norms, NORM_EPS)[..., None] * np.maximum(reference_norms, NORM_EPS)
+    np.subtract(1.0, cost, out=cost)
+    cost[norms < NORM_EPS] = 1.0
+    cost[..., reference_norms < NORM_EPS] = 1.0
+    np.maximum(cost, 0.0, out=cost)
+    state = np.full((rows, k, m + 1), np.inf)
+    np.cumsum(cost, axis=2, out=state[..., 1:])  # D[0]: only the move (i, j-1)
+    u = cost[0]  # a free buffer: row 0 is only read through its sums
+    for i in range(1, rows):
+        np.minimum(state[i - 1, :, 1:], state[i - 1, :, :-1], out=u)
         u += cost[i]
-        u -= sums[i]
+        u -= state[i, :, 1:]
         np.minimum.accumulate(u, axis=1, out=u)
-        np.add(sums[i], u, out=acc)
-        last_column[i] = acc[:, -1]
-    return last_column[lengths - 1, np.arange(k)] / (lengths + m)
+        state[i, :, 1:] += u
+    return state[lengths - 1, np.arange(k), -1] / (lengths + m)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation
-from .errors import CropTooNarrow, InvalidIndex
+from .errors import CropTooNarrow, InvalidIndex, check_memory
 from .geometry import quad_mean_side_lengths, round_half_up
 from .warp import apply_homography, bilinear_sample, homography
 
@@ -64,7 +64,8 @@ def encode_word(transcription: str, width: int, height: int) -> np.ndarray:
 
     Returns a (height, width, 38) float64 array where every pixel's 37
     character channels sum to 1 and the background channel is 0. The
-    output varies only along columns.
+    output varies only along columns. InvalidConfig refuses its row and
+    copy, 8 * 38 * width * (height + 1) bytes, beyond physical memory.
     """
     classes = alphabet.transcription_to_classes(transcription)
     n = len(classes)
@@ -72,6 +73,8 @@ def encode_word(transcription: str, width: int, height: int) -> np.ndarray:
         raise CropTooNarrow(f"width {width} < {n} characters")
     if height < 1:
         raise InvalidIndex("height must be at least 1")
+    check_memory(8.0 * alphabet.NUM_CLASSES * width * (height + 1),
+                 f"a {width}x{height} word encoding")
 
     row = np.zeros((width, alphabet.NUM_CLASSES), dtype=np.float64)
     for level in range(1, n + 1):

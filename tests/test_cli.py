@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,43 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert run(["simulate", gt, tmp_path / "o.sphoc", "--width", 160,
                 "--height", 100]) == 3
     assert capsys.readouterr().err == "error: Unable to allocate 140. MiB\n"
+
+
+def hello_world_spot(tmp_path):
+    """spot's argv on a simulated 100x40 map of "hello", queries hello and world."""
+    gt = tmp_path / "gt.txt"
+    gt.write_text("10,10,80,10,80,30,10,30,hello\n")
+    tensor = tmp_path / "m.sphoc"
+    assert run(["simulate", gt, tensor, "--width", 100, "--height", 40]) == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\nworld\n")
+    return ["spot", tensor, queries, tmp_path / "d.tsv"]
+
+
+def test_twenty_digit_samples_per_char_exits_2(tmp_path, capsys):
+    argv = hello_world_spot(tmp_path)
+    assert run([*argv, "--samples-per-char", "12345678901234567890"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "word encoding" in err and "physical memory" in err, err
+
+
+def test_samples_per_char_just_beyond_physical_memory_exits_2_unallocated(tmp_path, capsys):
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # a 5-letter query's encoding: a row and its copy, 8 * 38 * 5n bytes each
+    samples_per_char = physical // (2 * 8 * 38 * 5) + 1
+    argv = hello_world_spot(tmp_path)
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--samples-per-char", samples_per_char])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert peak < 1 << 26, peak  # refused before the encoding is allocated
+    assert not (tmp_path / "d.tsv").exists()
 
 
 @pytest.mark.parametrize("command", ["spot", "encode", "eval"])

@@ -8,7 +8,9 @@ and --max-candidates, the Hough resolutions and --blur-sigma (1e-300,
 1e300 and 20-digit values are drawn, as they are refused or give one
 bin, but nothing in between that could allocate a large accumulator or
 kernel), --width and --height, and --jobs, which never exceeds a
-handful of threads.
+handful of threads. --samples-per-char also draws the positive 20-digit
+value, whose query encoding is refused before it is allocated: alone,
+it must exit 2.
 """
 
 import contextlib
@@ -31,6 +33,8 @@ SPECIAL = ("nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e-300",
            "-1e-300", "1e300") + HUGE
 # the specials whose value could not make memory or threads grow
 SMALL = tuple(v for v in SPECIAL if v not in HUGE + ("1e300",)) + HUGE[1:]
+# flag: a special value that must exit 2 when it is the only flag
+REFUSED = {"--samples-per-char": HUGE[0]}
 
 FLOATS, INTS = (SPECIAL, st.floats(-1e6, 1e6)), (SPECIAL, st.integers(-1000, 1000))
 # flag: (special values, strategy of ordinary values), per command
@@ -45,7 +49,7 @@ FLAGS = {
         "--max-candidates": (SMALL, st.integers(-5, 50)),
         "--gap-bridge": INTS,
         "--band-halfwidth": FLOATS,
-        "--samples-per-char": (SMALL, st.integers(-5, 50)),
+        "--samples-per-char": (SMALL + HUGE[:1], st.integers(-5, 50)),
         "--jobs": (SMALL, st.integers(-2, 4)),
     },
     "simulate": {
@@ -105,13 +109,15 @@ def check(argv):
     if code != 0:
         lines = [line for line in err.splitlines() if "error:" in line]
         assert len(lines) == 1, (argv, err)
+    return code
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_each_special_value_alone(inputs, command):
     for flag, (specials, _) in FLAGS[command].items():
         for value in specials:
-            check(command_line(inputs, command, [f"{flag}={value}"]))
+            code = check(command_line(inputs, command, [f"{flag}={value}"]))
+            assert code == 2 or REFUSED.get(flag) != value, (flag, value, code)
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from softphoc import dtw, errors, spotting
 from softphoc.dtw import dtw_distance, dtw_distances
-from softphoc.errors import EmptySequence, ShapeMismatch
+from softphoc.encoder import embed_scene
+from softphoc.errors import EmptySequence, InvalidConfig, ShapeMismatch
 
 from oracles import oracle_cosine_cost, oracle_dtw, padded_dtw_distances
+from scenegen import random_scene
 
 
 def one_hot(channel, dim=38):
@@ -122,3 +127,58 @@ def test_batch_matches_the_padded_reference_to_the_bit(seed):
             reference[rng.integers(m)] = 0.0
         assert dtw_distances(samples, reference).tolist() == \
             padded_dtw_distances(samples, reference).tolist()
+
+
+def report_physical_memory(monkeypatch, nbytes):
+    """Make check_memory see nbytes of physical memory (pages of 1 byte)."""
+    pages = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
+
+
+def test_batch_beyond_physical_memory_is_refused(monkeypatch):
+    rng = np.random.default_rng(7)
+    reference = random_distribution_sequence(rng, 30)
+    samples = [random_distribution_sequence(rng, n) for n in (12, 90, 45)]
+    need = 16 * 90 * 3 * (30 + 1)  # two (rows, K, M + 1) float64 stacks
+    report_physical_memory(monkeypatch, need - 1)
+    with pytest.raises(InvalidConfig, match="DTW batch of 3 sequences .* physical memory"):
+        dtw_distances(samples, reference)
+    report_physical_memory(monkeypatch, need)
+    assert dtw_distances(samples, reference).tolist() == \
+        padded_dtw_distances(samples, reference).tolist()
+
+
+def spot_batches(seed):
+    """The (samples, reference) batches spot() scores on a random scene."""
+    scene = random_scene(np.random.default_rng(seed), n_words=4)
+    prob = embed_scene(scene)
+    batches = []
+
+    def recording(samples, reference):
+        batches.append((samples, reference))
+        return dtw_distances(samples, reference)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spotting, "dtw_distances", recording)
+        for word in scene.words:
+            spotting.spot(prob, word.transcription)
+    assert batches
+    return batches
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_batch_peak_memory_is_within_the_bytes_checked(monkeypatch, seed):
+    counted = []
+    monkeypatch.setattr(dtw, "check_memory",
+                        lambda need, what: counted.append(need) or errors.check_memory(need, what))
+    # numpy's ufunc iterators add fixed buffers of getbufsize() elements
+    # for each of up to three operands, whatever the batch size
+    buffers = 3 * 8 * np.getbufsize()
+    for samples, reference in spot_batches(seed):
+        tracemalloc.start()
+        try:
+            dtw_distances(samples, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[-1] + buffers, (peak, counted[-1], len(samples))
