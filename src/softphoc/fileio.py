@@ -147,8 +147,9 @@ def load_annotations(path, image_width: int | None = None,
 
 def format_detection_record(query: str, detection: Detection | None,
                             box: BoundingBox | None) -> str:
-    if "\t" in query or "\n" in query:
-        raise AnnotationParseError("query may not contain tabs or newlines")
+    # read_text reads "\r" as a line break too
+    if any(c in query for c in "\t\n\r"):
+        raise AnnotationParseError("query may not contain tabs or line breaks")
     if detection is None:
         return "\t".join([query, "not-found"] + ["-"] * 11)
     seg = detection.segment

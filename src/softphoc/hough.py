@@ -13,7 +13,9 @@ for arrays built in parts. One bincount counts a block over only the
 rho bins that the corners of the mask's bounding box reach, each
 theta's bins offset by its row in the block, and only the cells that
 reach the vote threshold are kept: the full (n_rho, n_theta) grid is
-never allocated, and its cost follows the mask, not the image. Peak
+never allocated, and its cost follows the mask, not the image. A
+pixel's rho is rounded to its bin by one add, which rounds half to
+even as np.rint does and leaves the bin in the sum's int64 bits. Peak
 picking sorts and scans only the top-voted of those cells (see
 find_peaks). The refit and the trim take all of a query's peaks at
 once: each computes the (lines, pixels) offsets of a block of lines,
@@ -27,6 +29,12 @@ import numpy as np
 
 from .errors import InvalidConfig, blocks, check_memory
 from .geometry import LineSegment, line_param_range_in_rect
+
+# For |x| < 2**51, x + _ROUNDER lies in [2**52, 2**53), where doubles are
+# the integers: it is rint(x) + _ROUNDER (even), its int64 bits rint(x) +
+# _ROUNDER_BITS. The accumulator's check_memory keeps rho bins far below.
+_ROUNDER = 1.5 * 2**52
+_ROUNDER_BITS = int(np.float64(_ROUNDER).view(np.int64))
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -65,11 +73,12 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
         if rho_res != 1.0:  # x / 1.0 is x
             r /= rho_res
             corners /= rho_res
-        bins = np.rint(r, out=r).astype(np.intp)
+        r += _ROUNDER  # r's int64 bits are now rint(r) + _ROUNDER_BITS
+        bins = r.view(np.int64)
         corners = np.rint(corners)
         lo, hi = (int(corners.min()), int(corners.max())) if corners.size else (0, 0)
         n_bins = hi - lo + 1
-        bins += np.arange(t1 - t0)[:, None] * n_bins - lo
+        bins += np.arange(t1 - t0)[:, None] * n_bins - (lo + _ROUNDER_BITS)
         counts = np.bincount(bins.ravel(), minlength=(t1 - t0) * n_bins)
         kept = np.flatnonzero(counts >= min_votes)
         block_t, block_r = np.divmod(kept, n_bins)

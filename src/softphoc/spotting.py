@@ -34,7 +34,10 @@ gathered from the map itself, in blocks of about errors.BLOCK_BYTES,
 and converted to float64 as it is gathered. bigram_heatmap,
 the plain whole-map heatmap that tests compare spot() against, shares
 its pair-sum formula. All candidates are sampled in one bilinear
-read of the map and scored in one DTW pass.
+read of the map and bounded from below by dtw.dtw_lower_bounds. The
+DTW program scores the candidate of least bound, then, in one batch,
+every other whose bound comes within 1e-9 of that distance: the rest
+can neither beat nor tie it.
 """
 
 import math
@@ -47,7 +50,7 @@ import numpy as np
 from . import alphabet, hough
 # dtw_distance is unused here but stays bound: perfbench/selftest.py
 # checks that the tracer wraps it on this module.
-from .dtw import dtw_distance, dtw_distances  # noqa: F401
+from .dtw import dtw_distance, dtw_distances, dtw_lower_bounds  # noqa: F401
 from .encoder import encode_word
 from .errors import (InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
                      blocks, check_fields)
@@ -335,10 +338,12 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     of a trained predictor, so the threshold is interpreted as a
     fraction of the strongest response. Candidates are ranked by DTW
     distance; ties fall back to more Hough votes, then smaller rho,
-    then smaller theta. A map whose heatmap peak is not finite, or that
-    is not finite along a candidate line (in any channel), raises
-    InvalidProbabilityMap; check_probability_map checks the whole map.
-    A map not of shape (height, width, 38) raises ShapeMismatch.
+    then smaller theta. Candidates whose DTW lower bound cannot reach
+    the best distance are not scored, with the same result. A map whose
+    heatmap peak is not finite, or that is not finite along a candidate
+    line (in any channel), raises InvalidProbabilityMap;
+    check_probability_map checks the whole map. A map not of shape
+    (height, width, 38) raises ShapeMismatch.
 
     The first call on a map array (an np.memmap too) computes its 16 x 16
     tile maxima, which later calls on the same array object reuse (see the
@@ -358,7 +363,16 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)
-    distances = dtw_distances(sample_line_descriptors(prob, candidates), reference)
+    profiles = sample_line_descriptors(prob, candidates)
+    bounds = dtw_lower_bounds(profiles, reference)
+    first = int(np.argmin(bounds))
+    distances = np.full(len(candidates), np.inf)  # inf: cannot win, not scored
+    distances[first] = dtw_distances([profiles[first]], reference)[0]
+    # A bound is short of the DP's sum by rounding only, far below 1e-9,
+    # so a larger one can neither beat nor tie the first distance.
+    rest = [k for k in np.flatnonzero(bounds <= distances[first] + 1e-9) if k != first]
+    if rest:
+        distances[rest] = dtw_distances([profiles[k] for k in rest], reference)
     distance, best = min(zip(distances.tolist(), candidates),
                          key=lambda pair: (pair[0], -pair[1].votes,
                                            pair[1].rho, pair[1].theta))

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softphoc import dtw, errors, spotting
-from softphoc.dtw import dtw_distance, dtw_distances
+from softphoc.dtw import dtw_distance, dtw_distances, dtw_lower_bounds
 from softphoc.encoder import embed_scene
 from softphoc.errors import EmptySequence, InvalidConfig, ShapeMismatch
 
@@ -127,6 +129,47 @@ def test_batch_matches_the_padded_reference_to_the_bit(seed):
             reference[rng.integers(m)] = 0.0
         assert dtw_distances(samples, reference).tolist() == \
             padded_dtw_distances(samples, reference).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(1, 90), min_size=1, max_size=6),
+       m=st.integers(1, 60), zero_rows=st.floats(0.0, 1.0),
+       zero_reference_row=st.booleans(), with_reference=st.booleans())
+def test_lower_bounds_never_exceed_the_distances(seed, lengths, m, zero_rows,
+                                                 zero_reference_row, with_reference):
+    rng = np.random.default_rng(seed)
+    reference = random_distribution_sequence(rng, m)
+    if zero_reference_row:
+        reference[rng.integers(m)] = 0.0
+    samples = [random_distribution_sequence(rng, n) for n in lengths]
+    for seq in samples[::2]:
+        seq[rng.random(len(seq)) < zero_rows] = 0.0  # zero-norm rows cost 1
+    if with_reference:
+        samples.append(reference.copy())  # distance 0 when no row is zero
+    bounds = dtw_lower_bounds(samples, reference)
+    distances = dtw_distances(samples, reference)
+    assert bounds.shape == distances.shape == (len(samples),)
+    assert np.all(bounds >= 0.0)
+    assert np.all(bounds <= distances + 1e-12), (bounds - distances).max()
+
+
+def test_lower_bounds_check_their_input_and_memory(monkeypatch):
+    good = np.zeros((3, 38))
+    with pytest.raises(EmptySequence):
+        dtw_lower_bounds([], good)
+    with pytest.raises(ShapeMismatch):
+        dtw_lower_bounds([good, np.zeros((2, 37))], good)
+    rng = np.random.default_rng(8)
+    reference = random_distribution_sequence(rng, 30)
+    samples = [random_distribution_sequence(rng, n) for n in (12, 90, 45)]
+    distances = dtw_distances(samples, reference)
+    need = 8 * 30 * (12 + 90 + 45)  # the (M, samples) float64 similarities
+    report_physical_memory(monkeypatch, need - 1)
+    with pytest.raises(InvalidConfig, match="DTW bounds of 3 sequences .* physical memory"):
+        dtw_lower_bounds(samples, reference)
+    report_physical_memory(monkeypatch, need)
+    assert np.all(dtw_lower_bounds(samples, reference) <= distances + 1e-12)
 
 
 def report_physical_memory(monkeypatch, nbytes):

@@ -357,3 +357,14 @@ class TestDetectionRecords:
     def test_tab_in_query_rejected(self):
         with pytest.raises(AnnotationParseError):
             format_detection_record("a\tb", None, None)
+
+    @pytest.mark.parametrize("query", ["ab\rcd", "ab\ncd"])
+    def test_line_break_in_query_rejected(self, query):
+        # read_detections would split the record at the "\r" too
+        seg = LineSegment.from_endpoints(1.5, 2.0, 50.25, 3.0, votes=12)
+        det = Detection(query=query, segment=seg, dtw_distance=0.125)
+        box = BoundingBox(cx=25.875, cy=2.5, width=48.75, height=9.75)
+        with pytest.raises(AnnotationParseError, match="line breaks"):
+            format_detection_record(query, det, box)
+        with pytest.raises(AnnotationParseError, match="line breaks"):
+            format_detection_record(query, None, None)

@@ -163,7 +163,8 @@ def per_theta_accumulator(xs, ys, shape, rho_res, theta_res):
 @pytest.mark.parametrize("n_pixels", [
     0, 1, 5000,
     BLOCK_BYTES // 8 + 1])  # more pixels than a one-theta block holds
-@pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7)])
+# at theta 0, rho_res 2 puts every odd x at a half-integer: ties round to even
+@pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7), (2.0, 1.0)])
 def test_theta_blocks_match_per_theta_votes(n_pixels, rho_res, theta_res):
     shape = (400, 700)
     rng = np.random.default_rng(n_pixels)

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from softphoc import hough, spotting
 from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
+from softphoc.dtw import dtw_distances
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.errors import (DegenerateSegment, EmptyTranscription,
                              InvalidProbabilityMap, ShapeMismatch, SoftPhocError)
@@ -279,6 +283,29 @@ class TestSpot:
     @pytest.mark.parametrize("shape", [(0, 8, 38), (6, 0, 38)])
     def test_empty_map_not_found(self, shape):
         assert spot(np.zeros(shape, dtype=np.float32), "abc") is None
+
+    def test_pruning_keeps_ties_and_skips_only_losers(self, monkeypatch):
+        quad = box_quad(20, 20, 130, 40)
+        prob = embed_scene(SceneAnnotation(160, 80, [WordAnnotation(quad, "hello")]))
+        on_word = LineSegment.from_endpoints(22, 30, 128, 30)
+        off_word = LineSegment.from_endpoints(10, 65, 150, 65, votes=30)
+        # the lower-vote copy first: its bound is the first least one
+        candidates = [replace(on_word, votes=5), replace(on_word, votes=9), off_word]
+        monkeypatch.setattr(hough, "lines_from_pixels", lambda *args: list(candidates))
+        scored = []
+
+        def recording(samples, reference):
+            scored.extend(samples)
+            return dtw_distances(samples, reference)
+
+        monkeypatch.setattr(spotting, "dtw_distances", recording)
+        det = spot(prob, "hello")
+        reference = query_descriptor("hello", CFG)
+        profile = sample_line_descriptor(prob, on_word)
+        assert det.segment == candidates[1]
+        assert det.dtw_distance == dtw_distances([profile], reference)[0]
+        assert det.candidates_considered == 3
+        assert len(scored) == 2  # both copies, not the line off the word
 
 
 class TestCheckProbabilityMap:
