@@ -105,7 +105,7 @@ def dtw_lower_bounds(samples, reference) -> np.ndarray:
     ends = np.cumsum(lengths)
     starts = ends - lengths
     # One matmul per sequence, as in the DP: one over all samples is large
-    # enough for OpenBLAS to start threads, which spin on spot --jobs cores.
+    # enough for OpenBLAS to start threads; smaller products wake them less.
     similarity = np.empty((len(reference), len(stacked)))
     for start, stop in zip(starts.tolist(), ends.tolist()):
         np.matmul(reference, unit[start:stop].T, out=similarity[:, start:stop])

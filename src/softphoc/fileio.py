@@ -82,11 +82,11 @@ def read_tensor(path) -> np.ndarray:
 
 
 def read_text(path) -> str:
-    """Contents of a UTF-8 text file; TextEncodingError names the file
-    when it is not UTF-8."""
+    """Contents of a UTF-8 text file, without one leading byte order
+    mark (U+FEFF); TextEncodingError names the file when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise TextEncodingError(
                 f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None

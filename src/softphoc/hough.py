@@ -16,7 +16,8 @@ reach the vote threshold are kept: the full (n_rho, n_theta) grid is
 never allocated, and its cost follows the mask, not the image. A
 pixel's rho is rounded to its bin by one add, which rounds half to
 even as np.rint does and leaves the bin in the sum's int64 bits. Peak
-picking sorts and scans only the top-voted of those cells (see
+picking sorts and scans only the top-voted of those cells, and starts
+again over four times as many cells when suppression uses them up (see
 find_peaks). The refit and the trim take all of a query's peaks at
 once: each computes the (lines, pixels) offsets of a block of lines,
 again of about BLOCK_BYTES, in one broadcast, and gives the same
@@ -98,30 +99,22 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
     that order, so the cells with at least some vote count give exactly
     the first peaks. The picking runs over the top-voted cells (about
     512, all tied cells kept). When suppression uses them up before
-    max_candidates peaks are found, it goes on over the cells below them,
-    four times as many in all: each of those has fewer votes than every
-    cell picked from so far, so it is first suppressed around the peaks
-    found, then picked from in the same order.
+    max_candidates peaks are found, it starts again from scratch over
+    four times as many: every cell of the last round comes before every
+    new cell, so the same peaks are picked again before the new cells
+    are reached.
     """
     cell_r, cell_t, cell_v = cells
-    peaks = []
-    size, above = 512, None  # above: the lowest vote count picked from so far
+    size = 512
     while True:
         cut = np.partition(cell_v, -size)[-size] if size < len(cell_v) else 0
-        fresh = cell_v >= cut
-        if above is not None:
-            fresh &= cell_v < above
-        top = np.flatnonzero(fresh)
+        top = np.flatnonzero(cell_v >= cut)
         # Listed by rho, then theta, argmax returns the first of tied
         # maxima: the next peak in (-votes, rho, theta) order.
         top = top[np.lexsort((cell_t[top], cell_r[top]))]
         rho, theta = rhos[cell_r[top]], thetas[cell_t[top]]
         votes = cell_v[top]
-        for block in blocks(peaks, 8 * len(top)):
-            peak_rho, peak_theta, _ = np.array(block).T
-            near = ((np.abs(rho - peak_rho[:, None]) <= nms_rho)
-                    & (np.abs(theta - peak_theta[:, None]) <= nms_theta))
-            votes[near.any(axis=0)] = -1
+        peaks = []
         while len(peaks) < max_candidates and len(votes):
             k = int(np.argmax(votes))
             if votes[k] < 0:  # every cell is a peak or suppressed
@@ -132,7 +125,7 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
             votes[k] = -1  # a NaN window suppresses nothing
         if len(peaks) >= max_candidates or cut <= cell_v.min(initial=cut):
             return peaks
-        size, above = size * 4, cut
+        size *= 4
 
 
 def _offsets(lines, xs: np.ndarray, ys: np.ndarray):
@@ -214,7 +207,7 @@ def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
                   for rho, theta in block]
         near[[r is None for r in ranges]] = False
         line_of, pixel = np.divmod(np.flatnonzero(near), len(xs))
-        runs = [None] * len(block)
+        ends = [None] * len(block)
         if len(line_of):
             lo, hi = np.array([r or (0.0, 0.0) for r in ranges]).T
             t = ys[pixel] * c[line_of] - xs[pixel] * s[line_of]
@@ -234,20 +227,19 @@ def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
             # per line, the first of its longest runs
             order = np.lexsort((pos[starts] - pos[stops], run_line))
             best = order[np.diff(run_line[order], prepend=-1) != 0]
+            cos, sin = c.tolist(), s.tolist()
             for k, t0, t1 in zip(run_line[best].tolist(),
                                  (pos[starts[best]] + first).tolist(),
                                  (pos[stops[best]] + first).tolist()):
-                runs[k] = (float(t0), float(t1))
-        for (rho, _), ck, sk, run in zip(block, c.tolist(), s.tolist(), runs):
-            if run is None or run[1] - run[0] < 1.0:
-                trimmed.append(None)
-                continue
-            t0, t1 = run
-            x1 = min(max(rho * ck - t0 * sk, 0.0), width - 1.0)
-            y1 = min(max(rho * sk + t0 * ck, 0.0), height - 1.0)
-            x2 = min(max(rho * ck - t1 * sk, 0.0), width - 1.0)
-            y2 = min(max(rho * sk + t1 * ck, 0.0), height - 1.0)
-            trimmed.append(((x1, y1), (x2, y2)))
+                if t1 - t0 < 1:  # shorter than 1 px: no segment
+                    continue
+                rho, ck, sk = block[k][0], cos[k], sin[k]
+                x1 = min(max(rho * ck - t0 * sk, 0.0), width - 1.0)
+                y1 = min(max(rho * sk + t0 * ck, 0.0), height - 1.0)
+                x2 = min(max(rho * ck - t1 * sk, 0.0), width - 1.0)
+                y2 = min(max(rho * sk + t1 * ck, 0.0), height - 1.0)
+                ends[k] = ((x1, y1), (x2, y2))
+        trimmed.extend(ends)
     return trimmed
 
 

@@ -559,6 +559,19 @@ def test_non_utf8_text_input_exits_2(tmp_path, capsys, command):
     assert "bad.txt" in err, err
 
 
+def test_byte_order_mark_of_a_query_file_is_dropped(tmp_path):
+    gt, tensor, queries = hello_inputs(tmp_path)
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + queries.read_bytes())
+    plain_det, marked_det = tmp_path / "d.tsv", tmp_path / "bom.tsv"
+    assert run(["spot", tensor, queries, plain_det]) == 0
+    assert run(["spot", tensor, marked, marked_det]) == 0
+    assert marked_det.read_bytes() == plain_det.read_bytes()
+    assert run(["eval", marked_det, gt, "--mode", "line"]) == 0
+    report = json.loads((tmp_path / "bom.tsv.report.json").read_text())
+    assert report["true_positives"] == 1
+
+
 def test_query_with_tab_rejected_before_the_map_is_read(tmp_path, capsys):
     queries = tmp_path / "q.txt"
     queries.write_text("DIRECTORY\nab\tc\n")

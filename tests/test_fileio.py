@@ -282,6 +282,12 @@ class TestDetectionRecords:
         assert parsed_box == BoundingBox(25.875, 2.5, 48.75, 9.75)
         assert rows[1] == ("missing", None, None)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        write_detections(path, [format_detection_record("hello", None, None)])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_detections(path) == [("hello", None, None)]
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "det.tsv"
         path.write_text("onlyquery\tfound\t1\n")

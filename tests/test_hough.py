@@ -255,6 +255,20 @@ def test_find_peaks_grows_the_cells_it_picks_from():
     assert len(got) == 8 and got[1][2] < np.sort(acc, axis=None)[-512]
 
 
+def test_find_peaks_restarts_when_the_cells_tied_at_the_cut_are_used_up():
+    # 600 cells tie at 1000 votes across the 512th, all kept in the first
+    # round; 30 windows use them up after 30 peaks, so 20 peaks come from
+    # the first round and 40 from a second one over the lower cells too
+    rng = np.random.default_rng(5)
+    acc = rng.integers(1, 40, size=(1200, 20))
+    acc[::40] = 1000
+    rhos, thetas = np.arange(1200.0), np.arange(0.0, 180.0, 9.0)
+    for cap in (20, 40):
+        got = find_peaks(cells_of(acc), rhos, thetas, 10.0, 180.0, cap)
+        assert got == looped_peaks(acc, rhos, thetas, 1, 10.0, 180.0, cap)
+        assert [v == 1000 for _, _, v in got] == [k < 30 for k in range(cap)]
+
+
 def test_find_peaks_without_suppression_beyond_the_first_cells():
     rng = np.random.default_rng(11)
     mask = np.zeros((90, 160), dtype=bool)
@@ -374,6 +388,19 @@ def test_refit_and_trim_of_repeated_and_tiny_supports():
                 per_line_trim(r, t, xs, ys, (30, 50), band, gap) for r, t in refined]
     assert refine_line([], xs, ys, 2.0) == []
     assert trim_line_to_mask([], xs, ys, (30, 50), 2.0, 5) == []
+
+
+@pytest.mark.parametrize("lines_per_block", [None, 2])
+def test_trim_of_a_block_mixing_runs_sub_pixel_runs_and_lines_off_the_image(
+        lines_per_block, monkeypatch):
+    xs, ys = np.array([0, 12, 20, 30]), np.array([7, 7, 7, 15])
+    if lines_per_block:
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * len(xs) * lines_per_block)
+    # x = 30 holds one pixel; x = -1 misses the image but has (0, 7) in its band
+    lines = [(30.0, 0.0), (7.0, 90.0), (-1.0, 0.0), (7.3, 90.0)]
+    got = trim_line_to_mask(lines, xs, ys, (30, 50), 2.0, 10)
+    assert got == [per_line_trim(r, t, xs, ys, (30, 50), 2.0, 10) for r, t in lines]
+    assert [ends is None for ends in got] == [True, False, True, False]
 
 
 def test_refit_and_trim_blocks_stay_bounded_at_a_large_candidate_cap():
