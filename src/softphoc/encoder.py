@@ -23,11 +23,10 @@ import numpy as np
 
 from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation
-from .errors import CropTooNarrow, InvalidIndex, check_memory
+from .errors import CropTooNarrow, DegenerateQuad, InvalidIndex, check_memory
 from .geometry import quad_mean_side_lengths, round_half_up
 from .warp import apply_homography, bilinear_sample, homography
 
-MASS_EPS = 1e-6  # incoming warped character mass that claims a pixel
 EDGE_EPS = 1e-9  # tolerance for the half-open coverage test at quad borders
 
 
@@ -111,11 +110,18 @@ def _warp_word(word, image_width, image_height, crop=None):
     pixel bounding box, a boolean coverage grid over it, and the crop
     bilinearly sampled at the covered pixels only, in row-major order
     (None when crop is None). A scene pixel is covered when its preimage
-    falls in [0, W) x [0, H) of the crop rectangle.
+    falls in [0, W) x [0, H) of the crop rectangle. Raises DegenerateQuad
+    naming the word when three of its vertices are (nearly) collinear, as
+    those of a quad clamped to the image border can be: no homography
+    maps it onto the crop.
     """
     crop_w, crop_h = word_crop_size(word)
     rect = np.array([[0.0, 0.0], [crop_w, 0.0], [crop_w, crop_h], [0.0, crop_h]])
-    h_inv = homography(word.quad, rect)
+    try:
+        h_inv = homography(word.quad, rect)
+    except DegenerateQuad:
+        raise DegenerateQuad(f"quad of {word.transcription!r} has three (nearly) collinear"
+                             " vertices: no homography maps it onto its crop") from None
 
     x0, y0, x1, y1 = word_box(word, image_width, image_height)
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
@@ -142,12 +148,12 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
     """Scene-level tensor: every word's crop tensor warped into place.
 
     Returns (image_height, image_width, 38) float32. Pixels covered by
-    no word are background one-hot; where words overlap, later words in
-    the list overwrite earlier ones. Each word's pixels are renormalized
-    over the character channels as they are written, so every pixel is a
-    probability distribution over the 38 channels. Each word samples
-    only its own characters' crop channels, the others of its crop
-    being 0.
+    no word are background one-hot; each word writes every pixel it
+    covers, so where words overlap, later words in the list overwrite
+    earlier ones. Each word's pixels are renormalized over the character
+    channels as they are written, so every pixel is a probability
+    distribution over the 38 channels. Each word samples only its own
+    characters' crop channels, the others of its crop being 0.
     """
     out = np.zeros((scene.image_height, scene.image_width, alphabet.NUM_CLASSES),
                    dtype=np.float32)
@@ -158,15 +164,11 @@ def embed_scene(scene: SceneAnnotation) -> np.ndarray:
         crop = encode_word(word.transcription, crop_w, crop_h)[..., live]
         x0, y0, covered, live_samples = _warp_word(
             word, scene.image_width, scene.image_height, crop=crop)
-        samples = np.zeros((len(live_samples), alphabet.NUM_CLASSES))
-        samples[:, live] = live_samples
-        keep = samples[:, 1:].sum(axis=-1) > MASS_EPS
-        take = covered.copy()
-        take[covered] = keep
         # Bilinear edges can leak mass: renormalize over the character
-        # channels. A kept pixel has float64 mass above MASS_EPS, so some
-        # channel, and the float32 sum, is above 0.
-        px = samples[keep].astype(np.float32)
+        # channels. Every crop pixel's live channels sum to 1, so a
+        # covered pixel's float32 character sum is about 1.
+        px = np.zeros((len(live_samples), alphabet.NUM_CLASSES), dtype=np.float32)
+        px[:, live] = live_samples
         px[:, 1:] /= px[:, 1:].sum(axis=-1, keepdims=True)
-        out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]][take] = px
+        out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]][covered] = px
     return out

@@ -9,8 +9,9 @@ are bit-exact across platforms:
 
 Annotation files follow the ICDAR-2015-style convention: one word per
 line, "x1,y1,x2,y2,x3,y3,x4,y4,transcription". The transcription may
-itself contain commas; lines whose transcription is "###" mark ignore
-regions and are skipped.
+itself contain commas and inner spaces, and blanks around it are
+dropped; lines whose transcription is "###" mark ignore regions and are
+skipped.
 
 Detection files are tab-separated with one record per query:
 
@@ -113,7 +114,7 @@ def parse_annotations(text: str, image_width: int | None = None,
             coords = [int(p.strip()) for p in parts[:8]]
         except ValueError:
             raise AnnotationParseError("non-integer coordinate", lineno)
-        transcription = parts[8]
+        transcription = parts[8].strip()
         if transcription == IGNORE_TRANSCRIPTION:
             continue
         if not transcription:

@@ -57,10 +57,9 @@ class LineSegment:
         """Direction angle in degrees in (-90, 90] of the canonical segment."""
         seg = self.canonical()
         ang = math.degrees(math.atan2(seg.y2 - seg.y1, seg.x2 - seg.x1))
+        # the canonical dx >= 0 keeps atan2 at most fl(pi/2): 90.0 degrees
         if ang <= -90.0:
             ang += 180.0
-        elif ang > 90.0:
-            ang -= 180.0
         return ang
 
     @classmethod

@@ -18,10 +18,11 @@ pixel's rho is rounded to its bin by one add, which rounds half to
 even as np.rint does and leaves the bin in the sum's int64 bits. Peak
 picking sorts and scans only the top-voted of those cells, and starts
 again over four times as many cells when suppression uses them up (see
-find_peaks). The refit and the trim take all of a query's peaks at
-once: each computes the (lines, pixels) offsets of a block of lines,
-again of about BLOCK_BYTES, in one broadcast, and gives the same
-floats as fitting and trimming one line at a time.
+find_peaks). The refit fits each line on its own. Only the votes and
+the trim are built in blocks: the trim takes all of a query's peaks at
+once, computes the (lines, pixels) offsets of a block of lines, again
+of about BLOCK_BYTES, in one broadcast, and gives the same floats as
+trimming one line at a time.
 """
 
 import math
@@ -150,37 +151,32 @@ def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
     of the supporting pixels recovers the line at sub-bin accuracy (the
     normal direction is the minor eigenvector of the support's scatter
     matrix). A line keeps its bin values when its support is degenerate.
-    The band test runs over all lines at once, in blocks of lines; each
-    line's means and dot products are its own, so that every result is
-    the one-line fit's to the bit.
+    Each line's band is tested on its own; only the eigen decomposition
+    takes all of a query's fits at once.
     """
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    refined = []
-    for block in blocks(list(lines), 8 * len(xs)):
-        near = np.flatnonzero(_offsets(block, xs, ys)[2] <= band_halfwidth)
-        bounds = np.searchsorted(near, np.arange(len(block) + 1) * len(xs)).tolist()
-        pixel = near % len(xs)
-        px, py = xs[pixel], ys[pixel]
-        fits, covs = [], []
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if hi - lo < 2:
-                continue
-            mx, my = px[lo:hi].mean(), py[lo:hi].mean()
-            dx, dy = px[lo:hi] - mx, py[lo:hi] - my
-            fits.append((k, mx, my))
-            covs.append(((dx @ dx, dx @ dy), (dx @ dy, dy @ dy)))
-        eigs = np.linalg.eigh(np.array(covs)) if covs else ((), ())
-        for (k, mx, my), eigvals, eigvecs in zip(fits, *eigs):
-            normal = eigvecs[:, 0]  # minor axis
-            if abs(eigvals[1]) < 1e-12:
-                continue
-            if normal[1] < 0 or (normal[1] == 0 and normal[0] < 0):
-                normal = -normal
-            theta_new = math.degrees(math.atan2(normal[1], normal[0])) % 180.0
-            rad = math.radians(theta_new)
-            rho_new = mx * math.cos(rad) + my * math.sin(rad)
-            block[k] = (float(rho_new), float(theta_new))
-        refined.extend(block)
+    refined = list(lines)
+    fits, covs = [], []
+    for k, line in enumerate(refined):
+        near = np.flatnonzero(_offsets([line], xs, ys)[2][0] <= band_halfwidth)
+        if len(near) < 2:
+            continue
+        px, py = xs[near], ys[near]
+        mx, my = px.mean(), py.mean()
+        dx, dy = px - mx, py - my
+        fits.append((k, mx, my))
+        covs.append(((dx @ dx, dx @ dy), (dx @ dy, dy @ dy)))
+    eigs = np.linalg.eigh(np.array(covs)) if covs else ((), ())
+    for (k, mx, my), eigvals, eigvecs in zip(fits, *eigs):
+        normal = eigvecs[:, 0]  # minor axis
+        if abs(eigvals[1]) < 1e-12:
+            continue
+        if normal[1] < 0 or (normal[1] == 0 and normal[0] < 0):
+            normal = -normal
+        theta_new = math.degrees(math.atan2(normal[1], normal[0])) % 180.0
+        rad = math.radians(theta_new)
+        rho_new = mx * math.cos(rad) + my * math.sin(rad)
+        refined[k] = (float(rho_new), float(theta_new))
     return refined
 
 

@@ -201,12 +201,9 @@ def embed_scene_all_channels(scene) -> np.ndarray:
         crop = encoder.encode_word(word.transcription, *encoder.word_crop_size(word))
         x0, y0, covered, samples = encoder._warp_word(
             word, scene.image_width, scene.image_height, crop=crop)
-        keep = samples[:, 1:].sum(axis=-1) > encoder.MASS_EPS
-        take = covered.copy()
-        take[covered] = keep
         block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
-        block[take] = samples[keep].astype(np.float32)
-        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
+        block[covered] = samples.astype(np.float32)
+        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= covered
     ys, xs = np.nonzero(claimed)
     px = out[ys, xs]
     char_sum = px[:, 1:].sum(axis=-1)

@@ -110,6 +110,19 @@ class TestSimulate:
         write_tensor(ref, simulate(scene, NoiseConfig(1.5, 0.2, 0.1)))
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("command", ["encode", "simulate"])
+    def test_word_cut_by_the_image_border_exits_2_naming_it(self, tmp_path, capsys,
+                                                             command):
+        # clamped to x <= 100, three of the quad's vertices lie on x = 100
+        gt = tmp_path / "gt.txt"
+        gt.write_text("90,10,130,10,130,30,105,30,edge\n")
+        out = tmp_path / "m.sphoc"
+        assert run([command, gt, out, "--width", 100, "--height", 40]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: quad of 'edge' has three (nearly) collinear vertices:"
+                       " no homography maps it onto its crop\n")
+        assert not out.exists()
+
     def test_confused_output_still_normalized(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text(GT_SINGLE)
@@ -570,6 +583,25 @@ def test_byte_order_mark_of_a_query_file_is_dropped(tmp_path):
     assert run(["eval", marked_det, gt, "--mode", "line"]) == 0
     report = json.loads((tmp_path / "bom.tsv.report.json").read_text())
     assert report["true_positives"] == 1
+
+
+def test_spaces_after_the_eighth_comma_leave_the_transcription(tmp_path):
+    gt, spaced = tmp_path / "gt.txt", tmp_path / "spaced.txt"
+    gt.write_text("10,10,60,10,60,30,10,30,hello\n")
+    spaced.write_text("10, 10, 60, 10, 60, 30, 10, 30, hello\n70, 5, 95, 5, 95, 35, 70, 35, ###\n")
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\n")
+    flags = ["--width", 100, "--height", 40, "--blur-sigma", 1]
+    for name in ("gt", "spaced"):
+        assert run(["simulate", tmp_path / f"{name}.txt", tmp_path / f"{name}.sphoc",
+                    *flags]) == 0
+        assert run(["spot", tmp_path / f"{name}.sphoc", queries,
+                    tmp_path / f"{name}.tsv"]) == 0
+        assert run(["eval", tmp_path / f"{name}.tsv", tmp_path / f"{name}.txt",
+                    "--mode", "line"]) == 0
+    assert (tmp_path / "spaced.sphoc").read_bytes() == (tmp_path / "gt.sphoc").read_bytes()
+    report = json.loads((tmp_path / "spaced.tsv.report.json").read_text())
+    assert (report["true_positives"], report["false_positives"]) == (1, 0)
 
 
 def test_query_with_tab_rejected_before_the_map_is_read(tmp_path, capsys):

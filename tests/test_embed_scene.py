@@ -80,8 +80,29 @@ def test_coverage_mask_matches_embedding_support():
 def test_rank_deficient_quad_is_rejected():
     # positive area but three collinear corners: no valid homography
     quad = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0]])
-    with pytest.raises(DegenerateQuad):
+    with pytest.raises(DegenerateQuad, match="sends a corner to infinity"):
         homography(quad, np.array([[0, 0], [10, 0], [10, 10], [0, 10]]))
+
+
+def test_nearly_collinear_quad_has_no_exact_homography():
+    # the fourth corner 1e-10 off the line of the first two: the fit's
+    # corners stay finite but miss their targets
+    quad = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 1e-10], [0.0, 10.0]])
+    with pytest.raises(DegenerateQuad, match="no exact homography"):
+        homography(quad, np.array([[0, 0], [10, 0], [10, 10], [0, 10]]))
+
+
+@pytest.mark.parametrize("quad", [
+    [[90, 10], [100, 10], [100, 30], [100, 30]],  # "90,10,130,10,130,30,105,30" clamped to x <= 100
+    [[0, 0], [10, 0], [20, 1e-10], [0, 10]],
+])
+def test_word_with_collinear_vertices_is_named(quad):
+    scene = SceneAnnotation(100, 40, [WordAnnotation(box_quad(10, 10, 60, 30), "fine"),
+                                      WordAnnotation(np.array(quad, dtype=float), "edge")])
+    for build in (embed_scene, scene_coverage_mask):
+        with pytest.raises(DegenerateQuad, match="quad of 'edge' has three "
+                           r"\(nearly\) collinear vertices"):
+            build(scene)
 
 
 def whole_box_warp(word, w, h, crop):
@@ -108,10 +129,9 @@ def whole_image_embed(scene):
     for word in scene.words:
         crop = encoder.encode_word(word.transcription, *encoder.word_crop_size(word))
         x0, y0, covered, samples = whole_box_warp(word, w, h, crop)
-        take = covered & (samples[..., 1:].sum(axis=-1) > encoder.MASS_EPS)
         block = out[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]]
-        block[take] = samples[take].astype(np.float32)
-        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= take
+        block[covered] = samples[covered].astype(np.float32)
+        claimed[y0:y0 + covered.shape[0], x0:x0 + covered.shape[1]] |= covered
     char_sum = out[..., 1:].sum(axis=-1)
     safe = claimed & (char_sum > 0)
     out[safe, 1:] /= char_sum[safe, None]
@@ -127,27 +147,6 @@ def test_claimed_only_finalisation_matches_whole_image_passes(seed):
     scene = random_scene(np.random.default_rng(seed), image_size=(200, 150),
                          n_words=6, separation=-12.0)
     assert np.array_equal(embed_scene(scene), whole_image_embed(scene))
-
-
-def test_unclaimed_covered_pixels_keep_the_earlier_word(monkeypatch):
-    # Crops whose left half carries no mass: those covered pixels have
-    # warped mass <= MASS_EPS, so they stay background or keep the
-    # earlier word's values.
-    real = encoder.encode_word
-
-    def half_empty(transcription, width, height):
-        crop = real(transcription, width, height)
-        crop[:, :width // 2] = 0.0
-        return crop
-
-    monkeypatch.setattr(encoder, "encode_word", half_empty)
-    first = WordAnnotation(box_quad(10, 10, 50, 20), "aaaa")
-    second = WordAnnotation(box_quad(30, 8, 70, 22), "bbbb")
-    tilted = WordAnnotation(rotated_rect_quad(60, 40, 50, 12, 30.0), "cdef")
-    scene = SceneAnnotation(90, 64, [first, second, tilted])
-    t = embed_scene(scene)
-    assert np.array_equal(t, whole_image_embed(scene))
-    assert np.all(t[12:18, 32:48, classify_char("a")] == 1.0)  # under second's empty half
 
 
 @pytest.mark.parametrize("seed", range(6))

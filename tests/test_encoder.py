@@ -75,6 +75,8 @@ class TestEncodeWord:
             encode_word("", 0, 1)
         with pytest.raises(CropTooNarrow):
             encode_word("abcdef", 5, 1)
+        with pytest.raises(InvalidIndex, match="height must be at least 1"):
+            encode_word("ab", 5, 0)
 
     def test_rows_identical(self):
         t = encode_word("query", 30, 6)

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 import tracemalloc
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softphoc import fileio
 from softphoc.annotations import WordAnnotation, clamp_quad
 from softphoc.bbox import BoundingBox
-from softphoc.errors import AnnotationParseError, DegenerateQuad, TensorFormatError
+from softphoc.errors import (AnnotationParseError, DegenerateQuad, EmptyTranscription,
+                             TensorFormatError)
 from softphoc.fileio import (TENSOR_MAGIC, format_detection_record,
                              parse_annotations, read_detections, read_tensor,
                              write_detections, write_tensor)
@@ -76,6 +79,18 @@ class TestTensorFile:
         write_tensor(path, np.zeros((2, 3, 38), dtype=np.float32))
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         assert peak_bytes_of_failed_read(path) < 1 << 20
+
+    def test_file_shrinking_after_the_size_check_is_a_truncated_payload(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.zeros((2, 3, 38), dtype=np.float32))
+        promised = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = fileio.os.fstat
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], promised, *real_fstat(fd)[7:])))
+        with pytest.raises(TensorFormatError, match="^truncated payload$"):
+            read_tensor(path)
 
     def test_header_alone_promising_60000_squared_allocates_nothing(self, tmp_path):
         path = tmp_path / "t.sphoc"
@@ -161,6 +176,17 @@ class TestAnnotationParsing:
         scene = parse_annotations(text, 20, 20)
         assert scene.words[0].transcription == "a,b,c"
 
+    def test_blanks_around_the_transcription_are_dropped(self):
+        text = ("10, 10, 60, 10, 60, 30, 10, 30, hello\n"
+                "0, 0, 10, 0, 10, 10, 0, 10, ###\n"
+                "0,0,10,0,10,10,0,10,\t Genaxis Theatre \n")
+        scene = parse_annotations(text, 100, 40)
+        assert [w.transcription for w in scene.words] == ["hello", "Genaxis Theatre"]
+
+    def test_blank_transcription_is_empty(self):
+        with pytest.raises(AnnotationParseError, match="^line 2: empty transcription$"):
+            parse_annotations("0,0,10,0,10,10,0,10,ok\n0,0,10,0,10,10,0,10, \t \n", 20, 20)
+
     def test_ignore_regions_skipped(self):
         text = "0,0,10,0,10,10,0,10,###\n"
         scene = parse_annotations(text, 20, 20)
@@ -239,6 +265,11 @@ class TestAnnotationParsing:
         assert str(AnnotationParseError("bad field", 7)) == "line 7: bad field"
         assert AnnotationParseError("bad field", 7).line_number == 7
         assert str(AnnotationParseError("bad field")) == "bad field"
+
+    def test_word_annotation_needs_a_transcription(self):
+        quad = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
+        with pytest.raises(EmptyTranscription):
+            WordAnnotation(quad, "")
 
     def test_collinear_vertex_allowed_while_area_is_positive(self):
         # a triangle with a vertex on one edge, as clamping can produce

@@ -39,6 +39,17 @@ class TestLineSegmentContract:
         assert seg.length == 1e-320
         assert seg.angle_from_horizontal() == 0.0
 
+    @pytest.mark.parametrize("x1, y1, x2, y2, angle", [
+        (0.0, 10.0, 1e-20, 0.0, 90.0),  # atan2 reads -90.0 before the wrap
+        (0.0, 0.0, 1e-20, 10.0, 90.0),
+        (3.0, 0.0, 3.0, 5.0, 90.0),
+        (5.0, 1.0, 0.0, 1.0, 0.0),
+        (0.0, 2.0, 2.0, 0.0, -45.0),
+    ])
+    def test_angle_from_horizontal_lies_in_the_half_open_range(self, x1, y1, x2, y2, angle):
+        seg = LineSegment(x1, y1, x2, y2, rho=0.0, theta=0.0)
+        assert seg.angle_from_horizontal() == angle
+
     def test_largest_finite_length_accepted(self):
         seg = LineSegment(-0.8e308, 0.0, 0.8e308, 0.0, rho=0.0, theta=90.0)
         assert seg.length == 1.6e308
@@ -75,6 +86,16 @@ class TestSegmentQuadOverlapLength:
         collapsed = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)
         with pytest.raises(DegenerateQuad):
             segment_quad_overlap_length(LineSegment.from_endpoints(0, 0, 5, 5), collapsed)
+
+    def test_repeated_vertex_edge_is_skipped(self):
+        # the zero edge from a repeated vertex has no interior side; the
+        # quad clips as the triangle it draws
+        seg = LineSegment.from_endpoints(-100, 10, 100, 10)
+        triangle = np.array([[0, 0], [20, 0], [40, 0], [0, 40]], dtype=float)
+        repeated = np.array([[0, 0], [0, 0], [40, 0], [0, 40]], dtype=float)
+        assert segment_quad_overlap_length(seg, repeated) == pytest.approx(30.0)
+        assert segment_quad_overlap_length(seg, repeated) == \
+            segment_quad_overlap_length(seg, triangle)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x1, x2", [(-1e308, 1e307), (-1.7e308, 0.0), (35.0, 1.7e308)])
