@@ -16,10 +16,14 @@ class WordAnnotation:
     top-left corner (reading order), as in ICDAR-style ground truth.
     Every coordinate must be finite and below 2**510 in magnitude, which
     keeps the quad's area, turn, side-length and box products in range.
+    line_number is the word's line in the file it was parsed from, for
+    error messages; it is None for a word built in code, and equality
+    ignores it.
     """
 
     quad: np.ndarray
     transcription: str
+    line_number: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.quad = np.asarray(self.quad, dtype=float).reshape(4, 2)

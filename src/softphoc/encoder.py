@@ -111,17 +111,19 @@ def _warp_word(word, image_width, image_height, crop=None):
     bilinearly sampled at the covered pixels only, in row-major order
     (None when crop is None). A scene pixel is covered when its preimage
     falls in [0, W) x [0, H) of the crop rectangle. Raises DegenerateQuad
-    naming the word when three of its vertices are (nearly) collinear, as
-    those of a quad clamped to the image border can be: no homography
-    maps it onto the crop.
+    naming the word, and its line when known, when three of its vertices
+    are (nearly) collinear, as those of a quad clamped to the image
+    border can be: no homography maps it onto the crop.
     """
     crop_w, crop_h = word_crop_size(word)
     rect = np.array([[0.0, 0.0], [crop_w, 0.0], [crop_w, crop_h], [0.0, crop_h]])
     try:
         h_inv = homography(word.quad, rect)
     except DegenerateQuad:
-        raise DegenerateQuad(f"quad of {word.transcription!r} has three (nearly) collinear"
-                             " vertices: no homography maps it onto its crop") from None
+        where = "" if word.line_number is None else f"line {word.line_number}: "
+        raise DegenerateQuad(f"{where}quad of {word.transcription!r} has three (nearly) "
+                             "collinear vertices: no homography maps it onto its "
+                             "crop") from None
 
     x0, y0, x1, y1 = word_box(word, image_width, image_height)
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]

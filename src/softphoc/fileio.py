@@ -22,7 +22,11 @@ numeric columns of not-found records).
 """
 
 import math
+import mmap
 import os
+import re
+import secrets
+import stat
 import struct
 
 import numpy as np
@@ -44,23 +48,58 @@ _DETECTION_COLUMNS = ("query", "status", "x1", "y1", "x2", "y2", "rho",
 
 def write_tensor(path, tensor: np.ndarray) -> None:
     """Write a map of any memory layout, rows of about errors.BLOCK_BYTES
-    at a time, so no copy of the whole map is made."""
+    at a time, so no copy of the whole map is made. A regular file (or
+    one that does not exist yet) is written under a temporary name in
+    its directory, which is then renamed over it, keeping an old file's
+    mode and following symlinks. So a write that fails, or a process
+    killed while writing, leaves the old file whole, and maps read_tensor
+    read from the old file keep its bytes. Any other target, such as
+    /dev/null or a pipe, is written directly."""
     arr = np.asarray(tensor)
     if arr.ndim != 3 or arr.shape[2] != alphabet.NUM_CLASSES:
         raise TensorFormatError(f"expected (H, W, 38) tensor, got {arr.shape}")
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as fh:
+            _write_rows(fh, arr)
+        return
+    target = os.path.realpath(path)
+    temp = f"{target}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            _write_rows(fh, arr)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write_rows(fh, arr: np.ndarray) -> None:
     height, width, channels = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<III", height, width, channels))
-        for rows in blocks(arr, 4 * width * channels):
-            fh.write(np.ascontiguousarray(rows, dtype="<f4").data)
+    fh.write(TENSOR_MAGIC)
+    fh.write(struct.pack("<III", height, width, channels))
+    for rows in blocks(arr, 4 * width * channels):
+        fh.write(np.ascontiguousarray(rows, dtype="<f4").data)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file into one writable, C-order (H, W, 38) float32
-    array, the file's own layout, with no staging copy. The header's
-    payload size is checked against the file size before any payload is
-    read, so a lying header allocates nothing."""
+    """A tensor file as one writable, C-order (H, W, 38) float32 array,
+    the file's own layout. The header's payload size is checked against
+    the file size before any payload is touched, so a lying header
+    allocates nothing. The payload is then mapped copy-on-write, not
+    copied: pages come from the page cache on first touch, and writes to
+    the array stay private to it. So the file must not be truncated or
+    rewritten while an array read from it lives: the array would show
+    the new bytes where it was not written to, and a read of a page cut
+    off ends the process with SIGBUS. write_tensor renames a new file
+    over the path instead, so writing any map to it, this array
+    included, is safe."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
@@ -71,15 +110,19 @@ def read_tensor(path) -> np.ndarray:
         height, width, channels = struct.unpack("<III", header)
         if channels != alphabet.NUM_CLASSES:
             raise TensorFormatError(f"expected 38 channels, found {channels}")
-        count = height * width * channels
-        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        count, start = height * width * channels, fh.tell()
+        found = os.fstat(fh.fileno()).st_size - start
         if found != 4 * count:
             raise TensorFormatError(
                 f"payload is {found} bytes, header promises {4 * count}")
-        tensor = np.empty((height, width, channels), dtype="<f4")
-        if fh.readinto(tensor) != tensor.nbytes:  # the file shrank
+        try:
+            payload = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # the file is now empty
+            payload = b""
+        if len(payload) - start < 4 * count:  # the file shrank
             raise TensorFormatError("truncated payload")
-    return tensor.astype(np.float32, copy=False)
+    tensor = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+    return tensor.reshape(height, width, channels).astype(np.float32, copy=False)
 
 
 def read_text(path) -> str:
@@ -111,7 +154,7 @@ def parse_annotations(text: str, image_width: int | None = None,
             raise AnnotationParseError(
                 "expected 8 coordinates and a transcription", lineno)
         try:
-            coords = [int(p.strip()) for p in parts[:8]]
+            coords = [_integer(p) for p in parts[:8]]
         except ValueError:
             raise AnnotationParseError("non-integer coordinate", lineno)
         transcription = parts[8].strip()
@@ -134,11 +177,27 @@ def parse_annotations(text: str, image_width: int | None = None,
         try:
             words.append(WordAnnotation(
                 quad=clamp_quad(quad, image_width, image_height),
-                transcription=transcription))
+                transcription=transcription, line_number=lineno))
         except (EmptyTranscription, ValueError) as exc:
             raise AnnotationParseError(str(exc), lineno)
     return SceneAnnotation(image_width=image_width, image_height=image_height,
                            words=words)
+
+
+def _integer(text: str) -> int:
+    """An ASCII [+-]?[0-9]+ coordinate, blanks around it allowed; int()
+    alone would also take "1_0" and non-ASCII digits."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """A detection field as float() reads it, but ASCII and without "_"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def load_annotations(path, image_width: int | None = None,
@@ -190,7 +249,7 @@ def read_detections(path):
         if status != "found":
             raise AnnotationParseError(f"unknown status {status!r}", lineno)
         try:
-            values = [float(v) for v in parts[2:]]
+            values = [_float(v) for v in parts[2:]]
         except ValueError:
             raise AnnotationParseError("malformed numeric field", lineno)
         if not all(map(math.isfinite, values)):

@@ -29,7 +29,7 @@ from scipy.ndimage import gaussian_filter
 from . import alphabet
 from .annotations import SceneAnnotation
 from .encoder import embed_scene, word_box
-from .errors import check_fields, check_memory
+from .errors import blocks, check_fields, check_memory
 
 TRUNCATE = 4.0  # kernel radius in sigmas, shared by the filter and the windows
 
@@ -74,7 +74,8 @@ def simulate(scene: SceneAnnotation, cfg: NoiseConfig = NoiseConfig()) -> np.nda
         return out
     r = int(TRUNCATE * cfg.blur_sigma + 0.5) if cfg.blur_sigma > 0.0 else 0
     for y0, y1, x0, x1 in _windows(scene, r):
-        out[y0:y1, x0:x1] = _corrupt(out[y0:y1, x0:x1].astype(np.float64), cfg)
+        window = out[y0:y1, x0:x1]
+        window[...] = _corrupt(window, cfg)
     return out
 
 
@@ -99,21 +100,35 @@ def _overlap(a, b) -> bool:
     return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
 
 
-def _corrupt(x: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
-    """Blur, confusion, leak and renormalization of a float64 block."""
+def _corrupt(window: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
+    """Blur, confusion, leak and renormalization of a float32 block, on
+    a float64 copy of it, which is returned. The blur runs on the
+    block's live channels; the other steps run on row bands of about
+    errors.BLOCK_BYTES, so each band stays in cache, and in place, so no
+    other temporary the size of the block is made. Each step is per
+    pixel and keeps its operands, so the bytes do not depend on the
+    bands."""
+    x = window.astype(np.float64)
     if cfg.blur_sigma > 0.0:
-        live = np.flatnonzero(x.any(axis=(0, 1)))
+        live = np.flatnonzero(window.any(axis=(0, 1)))
         x[..., live] = gaussian_filter(x[..., live], truncate=TRUNCATE,
                                        sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
-    if cfg.confusion_rate > 0.0:
-        char = x[..., 1:]
-        mass = char.sum(axis=-1, keepdims=True)
-        uniform = mass / alphabet.NUM_CHAR_CLASSES
-        x[..., 1:] = (1.0 - cfg.confusion_rate) * char + cfg.confusion_rate * uniform
-    if cfg.background_leak > 0.0:
-        char = x[..., 1:]
-        mass = char.sum(axis=-1)
-        x[..., 1:] = (1.0 - cfg.background_leak) * char
-        x[..., 0] += cfg.background_leak * mass
-    x /= x.sum(axis=-1, keepdims=True)
+    confusion, leak = cfg.confusion_rate, cfg.background_leak
+    for band in blocks(x, x.strides[0]):
+        # Whole-band ops, with the background channel kept aside, run
+        # faster than the same ops on the strided character channels.
+        background = band[..., 0].copy()
+        if confusion > 0.0:
+            uniform = band[..., 1:].sum(axis=-1, keepdims=True)
+            uniform /= alphabet.NUM_CHAR_CLASSES
+            uniform *= confusion
+            band *= 1.0 - confusion
+            band += uniform
+        if leak > 0.0:
+            mass = band[..., 1:].sum(axis=-1)
+            band *= 1.0 - leak
+            mass *= leak
+            background += mass
+        band[..., 0] = background
+        band /= band.sum(axis=-1, keepdims=True)
     return x

@@ -11,8 +11,10 @@ from softphoc import errors
 from softphoc.encoder import embed_scene
 from softphoc.errors import BLOCK_BYTES, blocks
 from softphoc.fileio import write_tensor
+from softphoc.oracle import NoiseConfig, simulate
 from softphoc.spotting import mask_pixels, spot
 
+from oracles import simulate_all_channels
 from scenegen import random_scene
 
 
@@ -71,3 +73,20 @@ def test_small_blocks_write_the_same_tensor_bytes(layout, tmp_path, monkeypatch)
     small = tmp_path / "small.sphoc"
     write_tensor(small, prob)
     assert small.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    NoiseConfig(blur_sigma=1.5), NoiseConfig(confusion_rate=0.3),
+    NoiseConfig(background_leak=0.4), NoiseConfig(blur_sigma=1.5, confusion_rate=0.2,
+                                                  background_leak=0.1),
+], ids=["blur", "confusion", "leak", "all"])
+@pytest.mark.parametrize("budget", [1, 3 * 160 * 38 * 8 + 5])
+def test_small_blocks_corrupt_the_same_map_bytes(cfg, budget, monkeypatch):
+    # one row per band, or 5 to 13 rows per band of this scene's windows,
+    # which are 29 to 103 rows tall: each window spans several bands, the
+    # last one short
+    scene = random_scene(np.random.default_rng(6), image_size=(160, 120), n_words=3,
+                         separation=-12.0)
+    expected = simulate_all_channels(scene, cfg)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+    assert simulate(scene, cfg).tobytes() == expected.tobytes()

@@ -119,8 +119,18 @@ class TestSimulate:
         out = tmp_path / "m.sphoc"
         assert run([command, gt, out, "--width", 100, "--height", 40]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: quad of 'edge' has three (nearly) collinear vertices:"
-                       " no homography maps it onto its crop\n")
+        assert err == ("error: line 1: quad of 'edge' has three (nearly) collinear"
+                       " vertices: no homography maps it onto its crop\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "simulate"])
+    def test_cut_word_sharing_its_transcription_is_named_by_its_line(
+            self, tmp_path, capsys, command):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("10,10,60,10,60,30,10,30,edge\n90,10,130,10,130,30,105,30,edge\n")
+        out = tmp_path / "m.sphoc"
+        assert run([command, gt, out, "--width", 100, "--height", 40]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: quad of 'edge' has three")
         assert not out.exists()
 
     def test_confused_output_still_normalized(self, tmp_path):

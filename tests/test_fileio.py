@@ -1,7 +1,15 @@
+import dataclasses
+import errno
 import math
 import os
+import signal
+import stat
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +168,157 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError):
             write_tensor(tmp_path / "t.sphoc", np.zeros((2, 2, 37)))
 
+    def test_writing_to_a_read_map_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.random.default_rng(5).random((9, 11, 38)))
+        data = path.read_bytes()
+        back = read_tensor(path)
+        back[...] = 7.0
+        back[4, 5, 6] = -1.0
+        assert path.read_bytes() == data
+        assert read_tensor(path).tobytes() == data[20:]
+        assert back[4, 5, 6] == -1.0 and back[0, 0, 0] == 7.0
+
+    def test_read_map_keeps_its_values_after_the_file_is_unlinked(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        tensor = np.random.default_rng(6).random((40, 70, 38)).astype(np.float32)
+        write_tensor(path, tensor)
+        back = read_tensor(path)
+        path.unlink()
+        assert back.tobytes() == tensor.tobytes()
+        back[1, 2] = 0.5  # still writable
+        assert back[1, 2, 37] == 0.5
+
+    def test_read_map_written_back_to_its_own_file_round_trips(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.random.default_rng(9).random((30, 40, 38)))
+        back = read_tensor(path)
+        back[::3] *= 0.5  # some pages private to the array, some still the file's
+        expected = back.tobytes()
+        write_tensor(path, back)
+        assert back.tobytes() == expected
+        assert path.read_bytes()[20:] == expected
+
+    def test_smaller_map_overwrites_a_larger_file(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.ones((5, 6, 38)))
+        write_tensor(path, np.zeros((2, 3, 38)))
+        assert path.stat().st_size == 20 + 2 * 3 * 38 * 4
+        assert read_tensor(path).tobytes() == np.zeros((2, 3, 38), np.float32).tobytes()
+
+    @pytest.mark.parametrize("failure", [MemoryError(), OSError(errno.ENOSPC, "full")])
+    def test_write_failing_part_way_leaves_the_old_file(self, tmp_path, monkeypatch,
+                                                        failure):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.ones((30, 40, 38)))
+        data = path.read_bytes()
+
+        def two_blocks_then_fail(rows, row_bytes):
+            yield rows[:5]
+            yield rows[5:10]
+            raise failure
+        monkeypatch.setattr(fileio, "blocks", two_blocks_then_fail)
+        with pytest.raises(type(failure)):
+            write_tensor(path, np.zeros((30, 40, 38)))
+        assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == ["t.sphoc"]  # no temporary file left
+
+    def test_write_killed_part_way_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.ones((30, 40, 38)))
+        data = path.read_bytes()
+        # The child writes the same shape and is killed after one block,
+        # so no cleanup of any kind runs.
+        script = (
+            "import os, signal, sys, numpy as np\n"
+            "from softphoc import fileio\n"
+            "def one_block_then_die(rows, row_bytes):\n"
+            "    yield rows[:5]\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "fileio.blocks = one_block_then_die\n"
+            "fileio.write_tensor(sys.argv[1], np.zeros((30, 40, 38)))\n")
+        package_root = str(Path(fileio.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env)
+        assert proc.returncode == -signal.SIGKILL
+        assert path.read_bytes() == data
+        assert read_tensor(path).tobytes() == data[20:]
+        # only the half-written temporary file is left beside it
+        leftover = sorted(os.listdir(tmp_path))
+        assert len(leftover) == 2 and leftover[0] == "t.sphoc"
+        assert leftover[1].startswith("t.sphoc.") and leftover[1].endswith(".tmp")
+
+    def test_read_map_keeps_its_bytes_when_a_smaller_map_is_written_over(self,
+                                                                         tmp_path):
+        path = tmp_path / "t.sphoc"
+        tensor = np.random.default_rng(10).random((40, 70, 38)).astype(np.float32)
+        write_tensor(path, tensor)
+        back = read_tensor(path)
+        write_tensor(path, np.zeros((2, 3, 38)))
+        assert back.tobytes() == tensor.tobytes()
+        assert read_tensor(path).shape == (2, 3, 38)
+
+    def test_rewrite_keeps_the_mode_and_follows_a_symlink(self, tmp_path):
+        path, link = tmp_path / "t.sphoc", tmp_path / "link.sphoc"
+        write_tensor(path, np.ones((2, 3, 38)))
+        path.chmod(0o640)
+        link.symlink_to(path.name)
+        write_tensor(link, np.zeros((4, 3, 38)))
+        assert link.is_symlink() and os.readlink(link) == path.name
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert read_tensor(path).shape == (4, 3, 38)
+
+    def test_pipe_is_written_directly(self, tmp_path):
+        fifo, plain = tmp_path / "p", tmp_path / "t.sphoc"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_tensor(fifo, np.ones((2, 3, 38)))
+        reader.join(timeout=10)
+        write_tensor(plain, np.ones((2, 3, 38)))
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert got == [plain.read_bytes()]
+
+    @pytest.mark.parametrize("shape", [(1, 7, 38), (1, 1, 38)])
+    def test_one_row_maps_round_trip_bit_exact(self, tmp_path, shape):
+        path = tmp_path / "t.sphoc"
+        tensor = np.random.default_rng(7).random(shape).astype(np.float32)
+        write_tensor(path, tensor)
+        back = read_tensor(path)
+        assert back.shape == shape and back.dtype == np.float32
+        assert back.flags.c_contiguous and back.flags.writeable
+        assert back.tobytes() == tensor.tobytes()
+
+    def test_file_emptied_after_the_size_check_is_a_truncated_payload(self, tmp_path,
+                                                                        monkeypatch):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.zeros((2, 3, 38), dtype=np.float32))
+        real_fstat = fileio.os.fstat
+
+        def stat_then_empty(fd):
+            result = real_fstat(fd)
+            os.truncate(path, 0)
+            return result
+        monkeypatch.setattr(fileio.os, "fstat", stat_then_empty)
+        with pytest.raises(TensorFormatError, match="^truncated payload$"):
+            read_tensor(path)
+
+    def test_reading_a_map_allocates_no_payload(self, tmp_path):
+        path = tmp_path / "t.sphoc"
+        write_tensor(path, np.random.default_rng(8).random((200, 300, 38)))
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            total = float(back.sum(dtype=np.float64))  # every page touched
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.nbytes == 200 * 300 * 38 * 4 and total > 0.0
+        assert peak < 1 << 20, peak  # the payload is 9.1 MB
+
 
 class TestAnnotationParsing:
     def test_icdar_layout(self):
@@ -207,6 +366,25 @@ class TestAnnotationParsing:
         with pytest.raises(AnnotationParseError) as err:
             parse_annotations(text, 20, 20)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("coordinate", [
+        "1_0", "١٠", "１０", "10.0", "1e1", "0x10", "+ 10", "--10", "", "ten"])
+    def test_coordinate_must_be_ascii_decimal_digits(self, coordinate):
+        text = f"0,0,10,0,10,10,0,10,ok\n{coordinate},10,60,10,60,30,10,30,bad\n"
+        with pytest.raises(AnnotationParseError, match="^line 2: non-integer coordinate$"):
+            parse_annotations(text, 100, 40)
+
+    def test_signed_coordinates_with_blanks_are_accepted(self):
+        scene = parse_annotations(" +10 ,\t10,60,10,60,30,-5, 30 ,word\n", 100, 40)
+        assert scene.words[0].quad.tolist() == [[10, 10], [60, 10], [60, 30], [0, 30]]
+
+    def test_words_record_their_line_which_equality_ignores(self):
+        text = "0,0,10,0,10,10,0,10,a\n\n0,0,10,0,10,10,0,10,###\n0,0,10,0,10,10,0,10,b\n"
+        scene = parse_annotations(text, 20, 20)
+        assert [w.line_number for w in scene.words] == [1, 4]
+        assert WordAnnotation(scene.words[0].quad, "a").line_number is None
+        compared = [f.name for f in dataclasses.fields(WordAnnotation) if f.compare]
+        assert compared == ["quad", "transcription"]
 
     def test_vertices_clamped_to_image(self):
         scene = parse_annotations("-5,-5,30,-5,30,15,-5,15,word\n", 20, 10)
@@ -351,6 +529,20 @@ class TestDetectionRecords:
         write_detections(path, [format_detection_record("ok", None, None),
                                 "\t".join(fields)])
         with pytest.raises(AnnotationParseError, match=f"line 3: .*{message}") as err:
+            read_detections(path)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("column, value", [
+        (2, "1_0.000000"), (3, "١٠"), (8, "0.1_25"), (9, "１"), (12, "1\u00a0")])
+    def test_numeric_field_must_be_ascii_without_underscores(self, tmp_path,
+                                                             column, value):
+        fields = ["word", "found", "10.000000", "20", "30", "20"] + ["1.0"] * 7
+        fields[column] = value
+        path = tmp_path / "det.tsv"
+        write_detections(path, [format_detection_record("ok", None, None),
+                                "\t".join(fields)])
+        with pytest.raises(AnnotationParseError,
+                           match="^line 3: malformed numeric field$") as err:
             read_detections(path)
         assert err.value.line_number == 3
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,26 @@ def test_random_scenes_and_sigmas_are_bit_identical(seed):
 def test_blur_whose_kernel_exceeds_physical_memory_is_refused(sigma):
     with pytest.raises(InvalidConfig, match="blur_sigma .* physical memory"):
         NoiseConfig(blur_sigma=sigma)
+
+
+@pytest.mark.parametrize("cfg", [noisy(1.5), NoiseConfig(confusion_rate=0.3),
+                                 NoiseConfig(blur_sigma=2.0)],
+                         ids=["all", "confusion", "blur"])
+def test_simulate_allocates_one_window_and_the_blur_copies(cfg):
+    # beyond the output map: one float64 window, the blur's input and
+    # output copies of its live channels, and band-sized temporaries
+    scene = random_scene(np.random.default_rng(3), image_size=(320, 240), n_words=4)
+    r = int(oracle.TRUNCATE * cfg.blur_sigma + 0.5)
+    exact = embed_scene(scene)
+    bound = 0
+    for y0, y1, x0, x1 in oracle._windows(scene, r):
+        live = np.count_nonzero(exact[y0:y1, x0:x1].any(axis=(0, 1)))
+        bound = max(bound, 8 * (y1 - y0) * (x1 - x0) * (38 + 2 * live))
+    tracemalloc.start()
+    try:
+        out = simulate(scene, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound > 1 << 20
+    assert peak <= out.nbytes + bound + (64 << 10), (peak, out.nbytes, bound)
