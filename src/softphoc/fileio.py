@@ -61,6 +61,8 @@ def write_tensor(path, tensor: np.ndarray) -> None:
     try:
         old = os.stat(path)
     except FileNotFoundError:
+        if not os.fspath(path):  # as open("") refuses it
+            raise
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "wb") as fh:
@@ -68,16 +70,22 @@ def write_tensor(path, tensor: np.ndarray) -> None:
         return
     target = os.path.realpath(path)
     temp = f"{target}.{secrets.token_hex(6)}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as fh:
-            if old is not None:
-                os.fchmod(fd, stat.S_IMODE(old.st_mode))
-            _write_rows(fh, arr)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                if old is not None:
+                    os.fchmod(fd, stat.S_IMODE(old.st_mode))
+                _write_rows(fh, arr)
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        # named by the path asked for, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _write_rows(fh, arr: np.ndarray) -> None:
@@ -99,8 +107,11 @@ def read_tensor(path) -> np.ndarray:
     the new bytes where it was not written to, and a read of a page cut
     off ends the process with SIGBUS. write_tensor renames a new file
     over the path instead, so writing any map to it, this array
-    included, is safe."""
+    included, is safe. A path that is not a regular file, such as a
+    pipe, has no size to check and is refused before a byte is read."""
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.stat(fh.fileno()).st_mode):  # fstat of fh
+            raise TensorFormatError(f"{path}: not a regular file")
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
             raise TensorFormatError(f"bad magic {magic!r}")
@@ -146,7 +157,7 @@ def parse_annotations(text: str, image_width: int | None = None,
     words = []
     quads = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.lstrip("﻿").strip()
+        line = raw.lstrip("\ufeff").strip()
         if not line:
             continue
         parts = line.split(",", 8)

@@ -18,11 +18,8 @@ pixel's rho is rounded to its bin by one add, which rounds half to
 even as np.rint does and leaves the bin in the sum's int64 bits. Peak
 picking sorts and scans only the top-voted of those cells, and starts
 again over four times as many cells when suppression uses them up (see
-find_peaks). The refit fits each line on its own. Only the votes and
-the trim are built in blocks: the trim takes all of a query's peaks at
-once, computes the (lines, pixels) offsets of a block of lines, again
-of about BLOCK_BYTES, in one broadcast, and gives the same floats as
-trimming one line at a time.
+find_peaks). Only the votes are built in blocks: the refit and the trim
+take each line's band on its own.
 """
 
 import math
@@ -129,18 +126,14 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
         size *= 4
 
 
-def _offsets(lines, xs: np.ndarray, ys: np.ndarray):
-    """(c, s, |xs * c + ys * s - rho|) of lines [(rho, theta_deg), ...],
-    c and s as math.cos and math.sin give them (np.cos can differ by an
-    ulp): one row of pixel offsets per line."""
-    rho = np.array([r for r, _ in lines], dtype=np.float64)
-    theta = [math.radians(t) for _, t in lines]
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
-    off = xs * c[:, None]
-    off += ys * s[:, None]
-    off -= rho[:, None]
-    return c, s, np.abs(off, out=off)
+def _band(rho: float, theta_deg: float, xs: np.ndarray, ys: np.ndarray,
+          band_halfwidth: float):
+    """(c, s, indices of the pixels within band_halfwidth of the line
+    (rho, theta_deg)), c and s as math.cos and math.sin give them (np.cos
+    can differ by an ulp)."""
+    theta = math.radians(theta_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    return c, s, np.flatnonzero(np.abs(xs * c + ys * s - rho) <= band_halfwidth)
 
 
 def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
@@ -157,8 +150,8 @@ def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     refined = list(lines)
     fits, covs = [], []
-    for k, line in enumerate(refined):
-        near = np.flatnonzero(_offsets([line], xs, ys)[2][0] <= band_halfwidth)
+    for k, (rho, theta) in enumerate(refined):
+        near = _band(rho, theta, xs, ys, band_halfwidth)[2]
         if len(near) < 2:
             continue
         px, py = xs[near], ys[near]
@@ -189,53 +182,33 @@ def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
     Positions along a line (1 px steps) count as supported when some
     mask pixel (xs, ys) lies within band_halfwidth perpendicular
     distance; runs may bridge unsupported stretches of up to gap_bridge
-    positions, and the first of a line's longest runs is kept. The
-    positions of all lines' supporting pixels are sorted together, in
-    blocks of lines, on the key (line, position).
+    positions, and the first of a line's longest runs is kept.
     """
     height, width = shape
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     trimmed = []
-    for block in blocks(list(lines), 8 * len(xs)):
-        c, s, off = _offsets(block, xs, ys)
-        near = off <= band_halfwidth
-        ranges = [line_param_range_in_rect(rho, math.radians(theta), width, height)
-                  for rho, theta in block]
-        near[[r is None for r in ranges]] = False
-        line_of, pixel = np.divmod(np.flatnonzero(near), len(xs))
-        ends = [None] * len(block)
-        if len(line_of):
-            lo, hi = np.array([r or (0.0, 0.0) for r in ranges]).T
-            t = ys[pixel] * c[line_of] - xs[pixel] * s[line_of]
-            t = np.clip(t, lo[line_of], hi[line_of])
-            pos = np.rint(t).astype(np.int64)
-            first = int(pos.min())
-            span = int(pos.max()) - first + 1
-            key = np.sort(line_of * span + (pos - first))
-            line_of, pos = np.divmod(key, span)
-            # runs break where the line changes or at a gap of more than
-            # gap_bridge positions (repeated positions never break one)
-            breaks = np.flatnonzero((np.diff(line_of) != 0)
-                                    | (np.diff(pos) > gap_bridge + 1))
-            starts = np.concatenate(([0], breaks + 1))
-            stops = np.concatenate((breaks, [len(pos) - 1]))
-            run_line = line_of[starts]
-            # per line, the first of its longest runs
-            order = np.lexsort((pos[starts] - pos[stops], run_line))
-            best = order[np.diff(run_line[order], prepend=-1) != 0]
-            cos, sin = c.tolist(), s.tolist()
-            for k, t0, t1 in zip(run_line[best].tolist(),
-                                 (pos[starts[best]] + first).tolist(),
-                                 (pos[stops[best]] + first).tolist()):
-                if t1 - t0 < 1:  # shorter than 1 px: no segment
-                    continue
-                rho, ck, sk = block[k][0], cos[k], sin[k]
-                x1 = min(max(rho * ck - t0 * sk, 0.0), width - 1.0)
-                y1 = min(max(rho * sk + t0 * ck, 0.0), height - 1.0)
-                x2 = min(max(rho * ck - t1 * sk, 0.0), width - 1.0)
-                y2 = min(max(rho * sk + t1 * ck, 0.0), height - 1.0)
-                ends[k] = ((x1, y1), (x2, y2))
-        trimmed.extend(ends)
+    for rho, theta in lines:
+        c, s, near = _band(rho, theta, xs, ys, band_halfwidth)
+        span = line_param_range_in_rect(rho, math.radians(theta), width, height)
+        if not len(near) or span is None:
+            trimmed.append(None)
+            continue
+        t = np.clip(ys[near] * c - xs[near] * s, *span)
+        pos = np.sort(np.rint(t).astype(np.int64))
+        # runs break at a gap of more than gap_bridge positions
+        breaks = np.flatnonzero(np.diff(pos) > gap_bridge + 1)
+        starts = np.concatenate(([0], breaks + 1))
+        stops = np.concatenate((breaks, [len(pos) - 1]))
+        best = int(np.argmax(pos[stops] - pos[starts]))  # the first longest
+        t0, t1 = float(pos[starts[best]]), float(pos[stops[best]])
+        if t1 - t0 < 1:  # shorter than 1 px: no segment
+            trimmed.append(None)
+            continue
+        x1 = min(max(rho * c - t0 * s, 0.0), width - 1.0)
+        y1 = min(max(rho * s + t0 * c, 0.0), height - 1.0)
+        x2 = min(max(rho * c - t1 * s, 0.0), width - 1.0)
+        y2 = min(max(rho * s + t1 * c, 0.0), height - 1.0)
+        trimmed.append(((x1, y1), (x2, y2)))
     return trimmed
 
 
@@ -260,6 +233,6 @@ def lines_from_pixels(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     lines = refine_line([peak[:2] for peak in peaks], xs, ys, cfg.band_halfwidth)
     trimmed = trim_line_to_mask(lines, xs, ys, shape, cfg.band_halfwidth,
                                 cfg.gap_bridge)
-    return [LineSegment(*ends[0], *ends[1], rho=rho, theta=theta, votes=votes).canonical()
+    return [LineSegment(*min(ends), *max(ends), rho=rho, theta=theta, votes=votes)
             for ends, (rho, theta), (_, _, votes) in zip(trimmed, lines, peaks)
             if ends is not None]

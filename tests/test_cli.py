@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -133,6 +135,19 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: line 2: quad of 'edge' has three")
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["nodir/x.sphoc", ""])
+    def test_unwritable_output_exits_3_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                 out):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(GT_SINGLE)
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert run(["simulate", gt, out, "--width", 160, "--height", 100]) == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert sorted(os.listdir(tmp_path)) == ["gt.txt", "work"]
+        assert os.listdir(tmp_path / "work") == []
+
     def test_confused_output_still_normalized(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text(GT_SINGLE)
@@ -247,6 +262,23 @@ class TestSpot:
         queries = tmp_path / "q.txt"
         queries.write_text("abc\n")
         assert run(["spot", bad, queries, tmp_path / "d.tsv"]) == 2
+
+
+    def test_tensor_from_a_pipe_exits_2_naming_it(self, tmp_path, capsys):
+        data = self.make_tensor(tmp_path).read_bytes()
+        queries, fifo = tmp_path / "q.txt", tmp_path / "pipe.sphoc"
+        queries.write_text("DIRECTORY\n")
+        os.mkfifo(fifo)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(data)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert run(["spot", fifo, queries, tmp_path / "d.tsv"]) == 2
+        writer.join(timeout=10)
+        assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+        assert not (tmp_path / "d.tsv").exists()
 
 
 class TestEval:

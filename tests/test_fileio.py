@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import math
@@ -282,6 +283,33 @@ class TestTensorFile:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert got == [plain.read_bytes()]
 
+    def test_write_errors_name_the_path_asked_for(self, tmp_path, monkeypatch):
+        missing = tmp_path / "nodir" / "x.sphoc"
+        with pytest.raises(FileNotFoundError) as err:
+            write_tensor(missing, np.ones((2, 3, 38)))
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        # "" is refused as open("") refuses it, before any file is made
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        with monkeypatch.context() as patch, pytest.raises(FileNotFoundError) as err:
+            patch.setattr(fileio.os, "open", None)
+            write_tensor("", np.ones((2, 3, 38)))
+        assert str(err.value) == "[Errno 2] No such file or directory: ''"
+
+    def test_pipe_is_refused_naming_its_path(self, tmp_path):
+        fifo, plain = tmp_path / "p", tmp_path / "t.sphoc"
+        write_tensor(plain, np.ones((2, 3, 38)))
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(plain.read_bytes())
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(TensorFormatError, match=f"^{fifo}: not a regular file$"):
+            read_tensor(fifo)
+        writer.join(timeout=10)
+
     @pytest.mark.parametrize("shape", [(1, 7, 38), (1, 1, 38)])
     def test_one_row_maps_round_trip_bit_exact(self, tmp_path, shape):
         path = tmp_path / "t.sphoc"
@@ -352,7 +380,7 @@ class TestAnnotationParsing:
         assert scene.words == []
 
     def test_bom_and_blank_lines(self):
-        text = "﻿0,0,10,0,10,10,0,10,word\n\n  \n"
+        text = "\ufeff0,0,10,0,10,10,0,10,word\n\n  \n"
         scene = parse_annotations(text, 20, 20)
         assert len(scene.words) == 1
 

@@ -56,7 +56,7 @@ def whole_map_path(prob, query, cfg=CFG):
 
 
 def planar(prob):
-    """The channel-planar layout that read_tensor returns."""
+    """A channel-planar view of prob, a layout spot() also takes."""
     return np.ascontiguousarray(prob.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 

@@ -349,7 +349,7 @@ def per_line_lines(xs, ys, shape, cfg):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 0.7)])
 @pytest.mark.parametrize("band", [1e-3, 2.0, 8.0])
-@pytest.mark.parametrize("gap_bridge", [0, 5])
+@pytest.mark.parametrize("gap_bridge", [0, 5, 2**63, 10**30])
 @pytest.mark.parametrize("lines_per_block", [None, 3])
 def test_batched_refit_and_trim_match_the_per_line_references(
         seed, rho_res, theta_res, band, gap_bridge, lines_per_block, monkeypatch):
@@ -371,8 +371,12 @@ def test_batched_refit_and_trim_match_the_per_line_references(
     refined = refine_line(lines, xs, ys, band)
     assert refined == [per_line_refine(r, t, xs, ys, band) for r, t in lines]
     for some in (lines, refined):
-        assert trim_line_to_mask(some, xs, ys, mask.shape, band, gap_bridge) == [
+        trimmed = trim_line_to_mask(some, xs, ys, mask.shape, band, gap_bridge)
+        assert trimmed == [
             per_line_trim(r, t, xs, ys, mask.shape, band, gap_bridge) for r, t in some]
+        if gap_bridge > sum(mask.shape):  # one run across every gap
+            assert trimmed == trim_line_to_mask(some, xs, ys, mask.shape, band,
+                                                sum(mask.shape))
     assert lines_from_pixels(xs, ys, mask.shape, cfg) == per_line_lines(xs, ys, mask.shape, cfg)
 
 
@@ -383,7 +387,7 @@ def test_refit_and_trim_of_repeated_and_tiny_supports():
     for band in (1e-3, 0.5, 2.0):
         refined = refine_line(lines, xs, ys, band)
         assert refined == [per_line_refine(r, t, xs, ys, band) for r, t in lines]
-        for gap in (0, 3):
+        for gap in (0, 3, 2**63, 10**30):
             assert trim_line_to_mask(refined, xs, ys, (30, 50), band, gap) == [
                 per_line_trim(r, t, xs, ys, (30, 50), band, gap) for r, t in refined]
     assert refine_line([], xs, ys, 2.0) == []
