@@ -108,10 +108,13 @@ def read_tensor(path) -> np.ndarray:
     off ends the process with SIGBUS. write_tensor renames a new file
     over the path instead, so writing any map to it, this array
     included, is safe. A path that is not a regular file, such as a
-    pipe, has no size to check and is refused before a byte is read."""
-    with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.stat(fh.fileno()).st_mode):  # fstat of fh
-            raise TensorFormatError(f"{path}: not a regular file")
+    pipe, has no size to check and is refused before a byte is read;
+    it is opened without blocking, so a pipe with no writer is too."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.stat(fd).st_mode):  # fstat of fd
+        os.close(fd)
+        raise TensorFormatError(f"{path}: not a regular file")
+    with open(fd, "rb") as fh:
         magic = fh.read(8)
         if magic != TENSOR_MAGIC:
             raise TensorFormatError(f"bad magic {magic!r}")

@@ -1,11 +1,17 @@
-"""Line voting over binary masks and extraction of supported segments.
+"""Line proposals over binary masks and extraction of supported segments.
 
-Foreground pixels vote in a standard (rho, theta) accumulator with
-theta in [0, 180) degrees and rho in [-diag, +diag]. Peaks, picked by
-a repeated argmax with greedy non-maximum suppression, are converted to
-finite segments by walking each infinite line across the image and
-keeping the longest run of positions backed by mask pixels within a
-perpendicular band, bridging small gaps.
+Two proposers give the same kind of LineSegment. lines_from_components,
+spot()'s default, fits one line to each 8-connected component of the
+mask, largest first, with votes = its pixel count and hough_min_votes
+the least component size. lines_from_pixels is the paper's Hough
+transform, the one proposer that hough_rho_res, hough_theta_res, nms_rho
+and nms_theta tune: foreground pixels vote in a standard (rho, theta)
+accumulator with theta in [0, 180) degrees and rho in [-diag, +diag],
+and peaks are picked by a repeated argmax with greedy non-maximum
+suppression and refit to the pixels in their band. Both turn each line
+into a finite segment by walking it across the image and keeping the
+longest run of positions backed by mask pixels within a perpendicular
+band, bridging small gaps.
 
 The accumulator votes in blocks of thetas whose (thetas, pixels) array
 of rho bins fits in about errors.BLOCK_BYTES, the package's one budget
@@ -25,6 +31,7 @@ take each line's band on its own.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import InvalidConfig, blocks, check_memory
 from .geometry import LineSegment, line_param_range_in_rect
@@ -161,16 +168,19 @@ def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
         covs.append(((dx @ dx, dx @ dy), (dx @ dy, dy @ dy)))
     eigs = np.linalg.eigh(np.array(covs)) if covs else ((), ())
     for (k, mx, my), eigvals, eigvecs in zip(fits, *eigs):
-        normal = eigvecs[:, 0]  # minor axis
-        if abs(eigvals[1]) < 1e-12:
-            continue
-        if normal[1] < 0 or (normal[1] == 0 and normal[0] < 0):
-            normal = -normal
-        theta_new = math.degrees(math.atan2(normal[1], normal[0])) % 180.0
-        rad = math.radians(theta_new)
-        rho_new = mx * math.cos(rad) + my * math.sin(rad)
-        refined[k] = (float(rho_new), float(theta_new))
+        if abs(eigvals[1]) >= 1e-12:
+            refined[k] = _line_through(mx, my, eigvecs[:, 0])  # the minor axis
     return refined
+
+
+def _line_through(mx, my, normal) -> tuple[float, float]:
+    """(rho, theta_deg) of the line through (mx, my) with the given
+    normal vector, theta_deg in [0, 180)."""
+    if normal[1] < 0 or (normal[1] == 0 and normal[0] < 0):
+        normal = -normal
+    theta = math.degrees(math.atan2(normal[1], normal[0])) % 180.0
+    rad = math.radians(theta)
+    return float(mx * math.cos(rad) + my * math.sin(rad)), float(theta)
 
 
 def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
@@ -231,8 +241,43 @@ def lines_from_pixels(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     peaks = find_peaks(cells, rhos, thetas, cfg.nms_rho, cfg.nms_theta,
                        cfg.max_candidates)
     lines = refine_line([peak[:2] for peak in peaks], xs, ys, cfg.band_halfwidth)
+    return _segments(lines, [votes for _, _, votes in peaks], xs, ys, shape, cfg)
+
+
+def lines_from_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+                          cfg) -> list[LineSegment]:
+    """Candidate segments from the 8-connected components of the pixels
+    (xs, ys), in row-major order, of a (height, width) mask: up to
+    max_candidates components of at least hough_min_votes pixels,
+    largest first (ties: the first in row-major order), each fit by
+    total least squares and trimmed as lines_from_pixels trims its
+    lines, with votes the component's pixel count."""
+    if len(xs) == 0:
+        return []
+    cols, rows = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+    x0, y0 = cols.min(), rows.min()
+    grid = np.zeros((rows.max() - y0 + 1, cols.max() - x0 + 1), dtype=bool)
+    grid[rows - y0, cols - x0] = True
+    # ndimage.label numbers components by their first pixel in row-major order
+    label = ndimage.label(grid, structure=np.ones((3, 3)))[0][rows - y0, cols - x0] - 1
+    sizes = np.bincount(label)
+    kept = np.argsort(-sizes, kind="stable")
+    kept = kept[sizes[kept] >= cfg.hough_min_votes][:cfg.max_candidates]
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    # means first, then the centred second moments, which do not cancel
+    mx, my = np.bincount(label, xs) / sizes, np.bincount(label, ys) / sizes
+    dx, dy = xs - mx[label], ys - my[label]
+    sxx, sxy, syy = (np.bincount(label, w)[kept] for w in (dx * dx, dx * dy, dy * dy))
+    normals = np.linalg.eigh(np.stack((sxx, sxy, sxy, syy), axis=-1).reshape(-1, 2, 2))[1]
+    lines = [_line_through(mx[k], my[k], normal[:, 0]) for k, normal in zip(kept, normals)]
+    return _segments(lines, sizes[kept].tolist(), xs, ys, shape, cfg)
+
+
+def _segments(lines, votes, xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+              cfg) -> list[LineSegment]:
+    """The (rho, theta_deg) lines trimmed to the pixels (xs, ys), each
+    with its votes; lines trimmed to nothing are dropped."""
     trimmed = trim_line_to_mask(lines, xs, ys, shape, cfg.band_halfwidth,
                                 cfg.gap_bridge)
-    return [LineSegment(*min(ends), *max(ends), rho=rho, theta=theta, votes=votes)
-            for ends, (rho, theta), (_, _, votes) in zip(trimmed, lines, peaks)
-            if ends is not None]
+    return [LineSegment(*min(ends), *max(ends), rho=rho, theta=theta, votes=v)
+            for ends, (rho, theta), v in zip(trimmed, lines, votes) if ends is not None]

@@ -2,42 +2,34 @@
 
 Given a per-pixel character probability map and a query transcription:
 build the query's consecutive-pair (bigram) heatmap, threshold it
-relative to its peak response, propose candidate text lines with the
-Hough transform, sample the probability map along each candidate, and
-rank candidates by DTW distance against the query's own fixed-width
-descriptor.
+relative to its peak response, propose candidate text lines, sample the
+probability map along each candidate, and rank candidates by DTW
+distance against the query's own fixed-width descriptor.
+
+Candidates come from the mask's 8-connected components by default
+(proposals="components"), hough_min_votes being the least component
+size. proposals="hough" selects the paper's Hough transform, the one
+proposer that hough_rho_res, hough_theta_res, nms_rho and nms_theta
+tune. Both share the refit's line form and the trim (see hough).
 
 spot() computes exact heat only where the peak or a mask pixel can be.
-For each TILE x TILE tile it takes the maximum M_c of each query
-channel and bounds the tile's heat by B = sum over pairs of M_a * M_b,
-formed in float64 in the query's pair order (B = M_c for one
-character). The bound is exact: every value is >= 0, each product is
-<= M_a * M_b and round-to-nearest is monotone, so every computed heat
-is <= B and fl(heat / peak) <= fl(B / peak). A tile is skipped only
-when B is finite, B <= peak and fl(B / peak) < threshold; tiles holding
-a negative value, -0.0, NaN or inf always get exact heat. The peak
-comes from the tile of highest bound, and further rounds add the tiles
-that could still beat it or reach the threshold. Peak and mask pixels
-are those of the whole-map heatmap, and a query's cost scales with the
-area of text, not of the image. The tile maxima of all 38 channels
-belong to the map, not the query: the first call on a map array reads
-it once, in its own order, and keeps the maxima (about 1.1 MB at 720p)
-while that array object lives, so every later query on it forms its
-bound from them alone. The memo holds no reference to the map and
-drops the entry when the map dies; an entry is never served to
-another array, nor to the same one after its memory or layout changed.
-A map must therefore not be written in place between calls on the same
-array: spot a changed map as a new array, such as prob.copy(). A map
-that is not native float32 or float64 is converted to float64 once, for
-its maxima (the memo is keyed on the caller's array); exact heat is
-gathered from the map itself, in blocks of about errors.BLOCK_BYTES,
-and converted to float64 as it is gathered. bigram_heatmap,
-the plain whole-map heatmap that tests compare spot() against, shares
-its pair-sum formula. All candidates are sampled in one bilinear
-read of the map and bounded from below by dtw.dtw_lower_bounds. The
-DTW program scores the candidate of least bound, then, in one batch,
-every other whose bound comes within 1e-9 of that distance: the rest
-can neither beat nor tie it.
+For each TILE x TILE tile it bounds the query's heat by the pair sums
+of the tile's channel maxima, computed in float64 in the query's pair
+order. The bound is exact: every value is >= 0, each product is at
+most that of its channels' maxima and rounding is monotone. A tile is skipped only
+when its bound is finite, no higher than the peak and below threshold
+times it; tiles holding a negative value, -0.0, NaN or inf always get
+exact heat. Peak and mask pixels are those of bigram_heatmap, the
+whole-map reference that shares the pair-sum formula. The tile maxima
+of all 38 channels belong to the map: the first call on a map array
+computes them (about 1.1 MB at 720p) and keeps them, without a
+reference to the map, while that array object lives and keeps its
+memory and layout. A map must therefore not be written in place
+between calls on the same array: spot a changed map as a new array,
+such as prob.copy(). All candidates are sampled in one bilinear read
+and bounded from below by dtw.dtw_lower_bounds; the DTW program scores
+the candidate of least bound, then every other whose bound comes
+within 1e-9 of that distance: the rest can neither beat nor tie it.
 """
 
 import math
@@ -67,8 +59,9 @@ MAP_SUM_TOLERANCE = 1e-3
 @dataclass(frozen=True)
 class SpottingConfig:
     """Pipeline knobs; only heatmap_threshold has a principled default,
-    the rest are voting/extraction plumbing. Out-of-range values raise
-    InvalidConfig."""
+    the rest are voting/extraction plumbing. proposals names the line
+    proposer, "components" or the paper's "hough" (see the module
+    docstring). Out-of-range values raise InvalidConfig."""
 
     heatmap_threshold: float = 0.2
     hough_rho_res: float = 1.0
@@ -80,6 +73,7 @@ class SpottingConfig:
     gap_bridge: int = 5
     band_halfwidth: float = 2.0
     query_samples_per_char: int = 10
+    proposals: str = "components"
 
     def __post_init__(self):
         check_fields(self, (
@@ -95,6 +89,8 @@ class SpottingConfig:
             ("band_halfwidth", 0.0 < self.band_halfwidth < math.inf,
              "finite and > 0"),
             ("query_samples_per_char", self.query_samples_per_char >= 1, ">= 1"),
+            ("proposals", self.proposals in ("components", "hough"),
+             "'components' or 'hough'"),
         ))
 
 
@@ -324,7 +320,8 @@ def sample_line_descriptors(prob: np.ndarray, segments) -> list[np.ndarray]:
     ts = np.arange(ends[-1], dtype=np.float64) - np.repeat(ends - counts, counts)
     (x0, y0), (ux, uy) = (np.repeat(np.array(a).T, counts, axis=1)
                           for a in (starts, steps))
-    profiles = bilinear_sample(prob, x0 + ts * ux, y0 + ts * uy)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        profiles = bilinear_sample(prob, x0 + ts * ux, y0 + ts * uy)
     if not np.isfinite(profiles).all():
         raise InvalidProbabilityMap("the map is not finite along a candidate line")
     return np.split(profiles, ends[:-1])
@@ -337,8 +334,9 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     exact soft annotations are much flatter than the near-binary output
     of a trained predictor, so the threshold is interpreted as a
     fraction of the strongest response. Candidates are ranked by DTW
-    distance; ties fall back to more Hough votes, then smaller rho,
-    then smaller theta. Candidates whose DTW lower bound cannot reach
+    distance; ties fall back to more votes (Hough votes, or a
+    component's pixel count under proposals="components"), then
+    smaller rho, then smaller theta. Candidates whose DTW lower bound cannot reach
     the best distance are not scored, with the same result. A map whose
     heatmap peak is not finite, or that is not finite along a candidate
     line (in any channel), raises InvalidProbabilityMap;
@@ -359,7 +357,9 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     # the memo key: np.asarray(a memmap) is a new array on every call
     _, ys, xs = mask_pixels(given if isinstance(given, np.ndarray) else prob,
                             query, cfg.heatmap_threshold)
-    candidates = hough.lines_from_pixels(xs, ys, prob.shape[:2], cfg)
+    propose = (hough.lines_from_pixels if cfg.proposals == "hough"
+               else hough.lines_from_components)
+    candidates = propose(xs, ys, prob.shape[:2], cfg)
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)

@@ -70,6 +70,30 @@ def random_scene(rng, image_size=(320, 240), n_words=None, min_len=3,
     return SceneAnnotation(image_width=width, image_height=height, words=words)
 
 
+def baseline_scene(rng, gap, image_size=(640, 480), n_words=3, char_width=10.0,
+                   word_height=16.0, max_angle=20.0) -> SceneAnnotation:
+    """n_words distinct random words on one straight baseline through the
+    image centre, gap px apart, at a random angle."""
+    texts = []
+    while len(texts) < n_words:
+        text = random_word(rng)
+        if text not in texts:
+            texts.append(text)
+    widths = [char_width * len(text) for text in texts]
+    angle = float(rng.uniform(-max_angle, max_angle))
+    c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+    along = -(sum(widths) + gap * (n_words - 1)) / 2  # the line's start
+    words = []
+    for text, w in zip(texts, widths):
+        centre = along + w / 2
+        words.append(WordAnnotation(rotated_rect_quad(
+            image_size[0] / 2 + centre * c, image_size[1] / 2 + centre * s,
+            w, word_height, angle), text))
+        along += w + gap
+    return SceneAnnotation(image_width=image_size[0], image_height=image_size[1],
+                           words=words)
+
+
 def anagram_scene(rng, first="listen", second="silent",
                   image_size=(280, 200)) -> SceneAnnotation:
     """A scene containing both words of an anagram pair."""

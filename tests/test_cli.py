@@ -214,11 +214,13 @@ class TestSpot:
                     "--blur-sigma", 1.5, "--confusion-rate", 0.2]) == 0
         queries = tmp_path / "q.txt"
         queries.write_text("DIRECTORY\ncarpark\nexit\nzzzz\nparking\ndirect\n")
-        one, two = tmp_path / "1.tsv", tmp_path / "2.tsv"
-        assert run(["spot", tensor, queries, one, "--jobs", 1]) == 0
-        assert run(["spot", tensor, queries, two, "--jobs", 2]) == 0
-        assert one.read_bytes() == two.read_bytes()
-        assert "\tfound\t" in one.read_text()
+        for proposals in ("components", "hough"):
+            one, two = tmp_path / f"1-{proposals}.tsv", tmp_path / f"2-{proposals}.tsv"
+            for jobs, out in ((1, one), (2, two)):
+                assert run(["spot", tensor, queries, out, "--jobs", jobs,
+                            "--proposals", proposals]) == 0
+            assert one.read_bytes() == two.read_bytes()
+            assert "\tfound\t" in one.read_text()
 
     def test_jobs_never_exceed_the_cpu_count(self, tmp_path, monkeypatch):
         # --jobs used to go to the pool unchanged: one thread per query
@@ -276,8 +278,25 @@ class TestSpot:
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
         assert run(["spot", fifo, queries, tmp_path / "d.tsv"]) == 2
-        writer.join(timeout=10)
+        # read_tensor does not wait for the writer; one still opening the
+        # pipe waits for a reader
+        while writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=0.1)
         assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_tensor_from_a_pipe_with_no_writer_exits_2_at_once(self, tmp_path):
+        queries, fifo = tmp_path / "q.txt", tmp_path / "pipe.sphoc"
+        queries.write_text("DIRECTORY\n")
+        os.mkfifo(fifo)
+        # in a child process, so that a reader waiting for a writer ends
+        # in a timeout rather than a stuck test
+        proc = subprocess.run(
+            [sys.executable, "-m", "softphoc", "spot", str(fifo), str(queries),
+             str(tmp_path / "d.tsv")],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {fifo}: not a regular file\n")
         assert not (tmp_path / "d.tsv").exists()
 
 
@@ -397,18 +416,22 @@ class TestEval:
         assert err == "error: line 2: segment of non-finite length\n"
 
 
+def child_env():
+    """The environment of a child that imports the same softphoc as this
+    process, installed or not."""
+    package_root = str(Path(softphoc.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point(tmp_path):
     gt = tmp_path / "gt.txt"
     gt.write_text(GT_SINGLE)
     out = tmp_path / "scene.sphoc"
-    # The child imports the same softphoc as this process, installed or not.
-    package_root = str(Path(softphoc.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "softphoc", "encode", str(gt), str(out),
          "--width", "160", "--height", "100"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert out.exists()
 
@@ -446,6 +469,7 @@ SPOT_FLAGS = {
     "--gap-bridge": ("gap_bridge", 2),
     "--band-halfwidth": ("band_halfwidth", 2.5),
     "--samples-per-char": ("query_samples_per_char", 6),
+    "--proposals": ("proposals", "hough"),
 }
 NOISE_FLAGS = {
     "--blur-sigma": ("blur_sigma", 0.5),
@@ -500,6 +524,7 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
     # anything is allocated
     ("spot", "--hough-rho-res", "1e-300"),
     ("spot", "--hough-theta-res", "1e-300"),
+    ("spot", "--proposals", "bogus"),
     ("simulate", "--blur-sigma", "1e19"),
     ("spot", "--band-halfwidth", "-1"),
     ("spot", "--gap-bridge", "-3"),
@@ -521,7 +546,8 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
     empty_gt.write_text("")
     size = ["--width", 160, "--height", 100]
     argv = {
-        "spot": ["spot", tensor, queries, tmp_path / "d.tsv"],
+        # the Hough flags under the proposer they tune
+        "spot": ["spot", tensor, queries, tmp_path / "d.tsv", "--proposals", "hough"],
         "encode": ["encode", empty_gt, tmp_path / "e.sphoc", *size],
         "simulate": ["simulate", empty_gt, tmp_path / "n.sphoc", *size],
     }[command]

@@ -51,6 +51,7 @@ FLAGS = {
         "--band-halfwidth": FLOATS,
         "--samples-per-char": (SMALL + HUGE[:1], st.integers(-5, 50)),
         "--jobs": (SMALL, st.integers(-2, 4)),
+        "--proposals": (("components", "hough", "bogus", ""), st.nothing()),
     },
     "simulate": {
         "--width": (SPECIAL, st.integers(-5, 160)),
@@ -135,7 +136,8 @@ def test_flag_combinations(inputs, command, data):
 
 
 def test_tiny_hough_resolutions_exit_2_without_a_warning(inputs):
-    code, err = run_cli(command_line(inputs, "spot", ["--hough-rho-res=1e-300",
+    code, err = run_cli(command_line(inputs, "spot", ["--proposals=hough",
+                                                      "--hough-rho-res=1e-300",
                                                       "--hough-theta-res=1e-300"]))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
     assert "hough_rho_res 1e-300 and hough_theta_res 1e-300" in err

@@ -308,7 +308,30 @@ class TestTensorFile:
         writer.start()
         with pytest.raises(TensorFormatError, match=f"^{fifo}: not a regular file$"):
             read_tensor(fifo)
-        writer.join(timeout=10)
+        # read_tensor does not wait for the writer; one still opening the
+        # pipe waits for a reader
+        while writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=0.1)
+
+    def test_pipe_with_no_writer_is_refused_at_once(self, tmp_path):
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        errors = []
+
+        def read():
+            with pytest.raises(TensorFormatError) as err:
+                read_tensor(fifo)
+            errors.append(str(err.value))
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "read_tensor waits for a writer"
+        assert errors == [f"{fifo}: not a regular file"]
+
+    def test_directory_is_refused_naming_its_path(self, tmp_path):
+        with pytest.raises(TensorFormatError, match=f"^{tmp_path}: not a regular file$"):
+            read_tensor(tmp_path)
 
     @pytest.mark.parametrize("shape", [(1, 7, 38), (1, 1, 38)])
     def test_one_row_maps_round_trip_bit_exact(self, tmp_path, shape):

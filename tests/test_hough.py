@@ -7,8 +7,8 @@ import pytest
 from softphoc import errors
 from softphoc.errors import BLOCK_BYTES, InvalidConfig
 from softphoc.geometry import LineSegment
-from softphoc.hough import (find_peaks, hough_accumulator, lines_from_pixels,
-                            refine_line, trim_line_to_mask)
+from softphoc.hough import (find_peaks, hough_accumulator, lines_from_components,
+                            lines_from_pixels, refine_line, trim_line_to_mask)
 from softphoc.spotting import SpottingConfig, hough_lines
 
 from oracles import per_line_refine, per_line_trim
@@ -440,3 +440,128 @@ def test_find_peaks_keeps_its_peaks_as_the_cells_grow():
         got = find_peaks(cells_of(acc), rhos, thetas, *nms, cap)
         assert got == looped_peaks(acc, rhos, thetas, 1, *nms, cap)
         assert len(got) == cap
+
+
+def components(mask, **fields):
+    ys, xs = np.nonzero(mask)
+    return lines_from_components(xs, ys, mask.shape, SpottingConfig(**fields))
+
+
+def bar_mask(angle_deg, length=60, halfwidth=1, shape=(120, 120)):
+    """A bar (2 * halfwidth + 1) px wide through the image centre; its
+    centre line's start (x0, y0)."""
+    c, s = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
+    x0, y0 = 60 - length / 2 * c, 60 - length / 2 * s
+    mask = np.zeros(shape, dtype=bool)
+    for k in np.arange(0, length, 0.5):
+        for w in np.arange(-halfwidth, halfwidth + 0.5, 0.5):
+            mask[int(round(y0 + k * s + w * c)), int(round(x0 + k * c - w * s))] = True
+    return mask, x0, y0
+
+
+@pytest.mark.parametrize("angle", [45, -45, 30])
+def test_component_of_a_rotated_bar(angle):
+    mask, x0, y0 = bar_mask(angle)
+    (seg,) = components(mask)
+    assert recovery_ok(seg, angle, x0, y0)
+    assert seg.votes == mask.sum()
+    c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+    ends = sorted([(x0, y0), (x0 + 59.5 * c, y0 + 59.5 * s)])
+    assert math.dist((seg.x1, seg.y1), ends[0]) <= 2.5
+    assert math.dist((seg.x2, seg.y2), ends[1]) <= 2.5
+
+
+def test_blobs_touching_diagonally_are_one_component():
+    mask = np.zeros((40, 60), dtype=bool)
+    mask[10:20, 10:30] = mask[20:30, 30:50] = True  # (19, 29) touches (20, 30)
+    (seg,) = components(mask)
+    assert seg.votes == 400
+    apart = mask.copy()
+    apart[20:30, 30] = False  # now a pixel apart
+    assert sorted(seg.votes for seg in components(apart)) == [190, 200]
+
+
+@pytest.mark.parametrize("angle", [0, 37, 90, 141])
+def test_component_of_a_one_pixel_wide_line(angle):
+    x0, y0 = sample_segment_start(np.random.default_rng(angle), angle)
+    mask = synthetic_segment_mask(angle, x0, y0)
+    (seg,) = components(mask)
+    assert recovery_ok(seg, angle, x0, y0)
+    assert seg.votes == mask.sum() and seg.length >= 57
+
+
+def test_components_below_min_votes_give_no_segment():
+    mask = np.zeros((40, 60), dtype=bool)
+    mask[10, 5:24] = True  # 19 pixels
+    mask[30, 5:25] = True  # 20 pixels
+    assert [(round(seg.rho), seg.votes) for seg in components(mask)] == [(30, 20)]
+    assert [seg.votes for seg in components(mask, hough_min_votes=19)] == [20, 19]
+    assert components(mask, hough_min_votes=21) == []
+
+
+def test_components_come_largest_first_and_then_in_row_major_order():
+    mask = np.zeros((60, 100), dtype=bool)
+    mask[10, 60:85] = True  # 25 pixels, first in row-major order
+    mask[30, 10:50] = True  # 40 pixels
+    mask[50, 0:25] = True  # 25 pixels, left of the first
+    order = [(30, 40), (10, 25), (50, 25)]
+    assert [(round(seg.rho), seg.votes) for seg in components(mask)] == order
+    for cap in (1, 2, 3, 4):
+        got = components(mask, max_candidates=cap)
+        assert [(round(seg.rho), seg.votes) for seg in got] == order[:cap]
+
+
+def test_no_pixels_give_no_components():
+    empty = np.zeros(0, dtype=np.intp)
+    assert lines_from_components(empty, empty, (30, 40), CFG) == []
+    assert components(np.zeros((30, 40), dtype=bool)) == []
+
+
+def looped_components(mask, cfg):
+    """lines_from_components with a flood fill, one fit per component
+    and the per-line trim."""
+    height, width = mask.shape
+    ys, xs = np.nonzero(mask)
+    seen, found = np.zeros_like(mask), []
+    for start in zip(ys, xs):
+        if seen[start]:
+            continue
+        seen[start], todo, pixels = True, [start], []
+        while todo:
+            y, x = todo.pop()
+            pixels.append((x, y))
+            for v in range(max(y - 1, 0), min(y + 2, height)):
+                for u in range(max(x - 1, 0), min(x + 2, width)):
+                    if mask[v, u] and not seen[v, u]:
+                        seen[v, u] = True
+                        todo.append((v, u))
+        found.append(np.array(pixels, dtype=np.float64))
+    found = sorted(found, key=len, reverse=True)  # stable: first pixel order
+    segments = []
+    for pixels in [p for p in found if len(p) >= cfg.hough_min_votes][:cfg.max_candidates]:
+        d = pixels - pixels.mean(axis=0)
+        normal = np.linalg.eigh(d.T @ d)[1][:, 0]
+        if normal[1] < 0 or (normal[1] == 0 and normal[0] < 0):
+            normal = -normal
+        theta = math.degrees(math.atan2(normal[1], normal[0])) % 180.0
+        rho = float(pixels.mean(axis=0) @ [math.cos(math.radians(theta)),
+                                           math.sin(math.radians(theta))])
+        ends = per_line_trim(rho, theta, xs, ys, mask.shape, cfg.band_halfwidth,
+                             cfg.gap_bridge)
+        if ends is not None:
+            segments.append(LineSegment(*ends[0], *ends[1], rho=rho, theta=theta,
+                                        votes=len(pixels)).canonical())
+    return segments
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("min_votes, cap", [(1, 200), (3, 40), (20, 5)])
+def test_components_match_the_looped_reference(seed, min_votes, cap):
+    mask = refit_mask(seed)
+    cfg = SpottingConfig(hough_min_votes=min_votes, max_candidates=cap)
+    got, expected = components(mask, hough_min_votes=min_votes, max_candidates=cap), \
+        looped_components(mask, cfg)
+    assert [seg.votes for seg in got] == [seg.votes for seg in expected]
+    for g, e in zip(got, expected):
+        assert (g.x1, g.y1, g.x2, g.y2, g.rho, g.theta) == pytest.approx(
+            (e.x1, e.y1, e.x2, e.y2, e.rho, e.theta), abs=1e-6)

@@ -1,8 +1,8 @@
 """spot() outputs pinned on seeded scenes.
 
 tests/data/spot_golden.tsv holds, for every query of every case, whether
-spot() found a line, the line's endpoints and its DTW distance. It is
-written by
+spot() with the paper's Hough proposer found a line, the line's
+endpoints and its DTW distance. It is written by
 
     PYTHONPATH=src python tests/test_spot_golden.py
 
@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softphoc.evaluation import line_box_overlap
 from softphoc.fileio import read_tensor, write_tensor
+from softphoc.geometry import LineSegment
 from softphoc.oracle import NoiseConfig, simulate
-from softphoc.spotting import spot
+from softphoc.spotting import SpottingConfig, spot
 
 from scenegen import random_scene, random_word
 
@@ -31,11 +33,12 @@ CASES = (
                                      background_leak=0.1)),
 )
 N_DISTRACTORS = 2
+HOUGH = SpottingConfig(proposals="hough")
 
 
-def spot_rows(load=lambda prob: prob):
+def spot_rows(load=lambda prob: prob, cfg=HOUGH):
     """(case, query, found, x1, y1, x2, y2, dtw) for every query, in order,
-    spotting on load(map) for each simulated map."""
+    spotting on load(map) with cfg for each simulated map."""
     rows = []
     for case, (seed, size, n_words, noise) in enumerate(CASES):
         rng = np.random.default_rng(seed)
@@ -44,7 +47,7 @@ def spot_rows(load=lambda prob: prob):
         queries = [w.transcription for w in scene.words]
         queries += [random_word(rng) for _ in range(N_DISTRACTORS)]
         for query in queries:
-            det = spot(prob, query)
+            det = spot(prob, query, cfg)
             if det is None:
                 rows.append((case, query, False) + (float("nan"),) * 5)
             else:
@@ -96,6 +99,23 @@ def test_spot_matches_golden_outputs_on_maps_read_from_files(tmp_path):
         return read_tensor(path)
 
     check_rows(spot_rows(through_file))
+
+
+def word_hits(rows):
+    """(case, query) of the rows whose line covers the query's word with
+    an overlap of at least 0.7."""
+    quads = [{w.transcription: w.quad for w in random_scene(
+        np.random.default_rng(seed), image_size=size, n_words=n_words).words}
+        for seed, size, n_words, _ in CASES]
+    return {(case, query) for case, query, found, *ends, _ in rows
+            if found and query in quads[case]
+            and line_box_overlap(LineSegment.from_endpoints(*ends), quads[case][query]) >= 0.7}
+
+
+def test_components_hit_every_word_the_hough_golden_hits():
+    hough = word_hits(read_golden())
+    assert len(hough) == 22  # every present word
+    assert hough <= word_hits(spot_rows(cfg=SpottingConfig(proposals="components")))
 
 
 if __name__ == "__main__":

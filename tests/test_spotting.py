@@ -8,11 +8,12 @@ from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.dtw import dtw_distances
 from softphoc.encoder import embed_scene, scene_coverage_mask
+from softphoc.evaluation import line_box_overlap
 from softphoc.errors import (DegenerateSegment, EmptyTranscription,
                              InvalidProbabilityMap, ShapeMismatch, SoftPhocError)
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
-from softphoc.oracle import simulate
+from softphoc.oracle import NoiseConfig, simulate
 from softphoc.errors import BLOCK_BYTES
 from softphoc.spotting import (TILE, SpottingConfig,
                                _tile_pixels, bigram_heatmap,
@@ -22,7 +23,7 @@ from softphoc.spotting import (TILE, SpottingConfig,
 from softphoc.warp import bilinear_sample
 
 from oracles import oracle_clipped_length
-from scenegen import anagram_scene
+from scenegen import anagram_scene, baseline_scene
 
 CFG = SpottingConfig()
 
@@ -257,6 +258,18 @@ class TestSpot:
                                           scene.words[1].quad, samples=2001)
         assert in_listen > in_silent
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_words_on_one_baseline_8_px_apart_are_each_found(self, seed):
+        # touching words make one mask component: the fit and the trim must
+        # still give each query its own word
+        scene = baseline_scene(np.random.default_rng(seed), gap=8)
+        prob = simulate(scene, NoiseConfig(blur_sigma=1.5, confusion_rate=0.2,
+                                           background_leak=0.1))
+        for word in scene.words:
+            det = spot(prob, word.transcription)
+            assert det is not None, word.transcription
+            assert line_box_overlap(det.segment, word.quad) >= 0.7, word.transcription
+
     def test_deterministic(self):
         scene = anagram_scene(np.random.default_rng(13))
         prob = simulate(scene)
@@ -291,7 +304,7 @@ class TestSpot:
         off_word = LineSegment.from_endpoints(10, 65, 150, 65, votes=30)
         # the lower-vote copy first: its bound is the first least one
         candidates = [replace(on_word, votes=5), replace(on_word, votes=9), off_word]
-        monkeypatch.setattr(hough, "lines_from_pixels", lambda *args: list(candidates))
+        monkeypatch.setattr(hough, "lines_from_components", lambda *args: list(candidates))
         scored = []
 
         def recording(samples, reference):
