@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softphoc.alphabet import NUM_CLASSES
@@ -77,6 +77,9 @@ ANY_RECORD = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(header=st.booleans(),
        records=st.lists(st.one_of(VALID_RECORD, ANY_RECORD), max_size=6))
+@example(header=False, records=[("\ufeff", detection_line("\ufeff", "not-found", ["-"] * 11))])
+@example(header=False, records=[("\ufeff#", detection_line("\ufeff#", "not-found", ["-"] * 11)),
+                                ("q", detection_line("q", "not-found", ["-"] * 11))])
 def test_read_detections_raises_only_library_errors(input_file, header, records):
     lines = (["# query\tstatus"] if header else []) + [line for _, line in records]
     input_file.write_bytes("\n".join(lines).encode("utf-8"))
@@ -94,9 +97,11 @@ def test_read_detections_raises_only_library_errors(input_file, header, records)
             assert box.width >= 0 and box.height >= 0
     if all(query is not None for query, _ in records):
         # every well-formed record is read back, in order, whatever its
-        # query; only line 1 may be taken as the header
-        expected = [line.split("\t")[0] for i, line in enumerate(lines)
-                    if not (i == 0 and line.startswith("#"))]
+        # query; only line 1 may be taken as the header, and a U+FEFF
+        # opening the file is a byte order mark, not part of line 1
+        text = "\n".join(lines).removeprefix("\ufeff")
+        expected = [line.split("\t")[0] for i, line in enumerate(text.split("\n"))
+                    if line and not (i == 0 and line.startswith("#"))]
         assert [query for query, _, _ in rows] == expected
 
 
