@@ -1,17 +1,18 @@
 """Line proposals over binary masks and extraction of supported segments.
 
 Two proposers give the same kind of LineSegment. lines_from_components,
-spot()'s default, fits one line to each 8-connected component of the
+the one spot() uses, fits one line to each 8-connected component of the
 mask, largest first, with votes = its pixel count and hough_min_votes
-the least component size. lines_from_pixels is the paper's Hough
-transform, the one proposer that hough_rho_res, hough_theta_res, nms_rho
-and nms_theta tune: foreground pixels vote in a standard (rho, theta)
-accumulator with theta in [0, 180) degrees and rho in [-diag, +diag],
-and peaks are picked by a repeated argmax with greedy non-maximum
-suppression and refit to the pixels in their band. Both turn each line
-into a finite segment by walking it across the image and keeping the
-longest run of positions backed by mask pixels within a perpendicular
-band, bridging small gaps.
+the least component size. lines_from_mask (lines_from_pixels) is the
+paper's Hough transform, kept as the reference proposer of
+spotting.hough_lines and the one that hough_rho_res, hough_theta_res,
+nms_rho and nms_theta tune: foreground pixels vote in a standard
+(rho, theta) accumulator with theta in [0, 180) degrees and rho in
+[-diag, +diag], and peaks are picked by a repeated argmax with greedy
+non-maximum suppression and refit to the pixels in their band. Both
+turn each line into a finite segment by walking it across the image and
+keeping the longest run of positions backed by mask pixels within a
+perpendicular band, bridging small gaps.
 
 The accumulator votes in blocks of thetas whose (thetas, pixels) array
 of rho bins fits in about errors.BLOCK_BYTES, the package's one budget

@@ -6,30 +6,30 @@ relative to its peak response, propose candidate text lines, sample the
 probability map along each candidate, and rank candidates by DTW
 distance against the query's own fixed-width descriptor.
 
-Candidates come from the mask's 8-connected components by default
-(proposals="components"), hough_min_votes being the least component
-size. proposals="hough" selects the paper's Hough transform, the one
-proposer that hough_rho_res, hough_theta_res, nms_rho and nms_theta
-tune. Both share the refit's line form and the trim (see hough).
+Candidates are the lines fit to the mask's 8-connected components
+(hough.lines_from_components), hough_min_votes being the least
+component size. The paper's Hough transform stays as hough_lines, the
+reference proposer that hough_rho_res, hough_theta_res, nms_rho and
+nms_theta tune; spot() does not read those four fields.
 
 spot() computes exact heat only where the peak or a mask pixel can be.
-For each TILE x TILE tile it bounds the query's heat by the pair sums
-of the tile's channel maxima, computed in float64 in the query's pair
-order. The bound is exact: every value is >= 0, each product is at
-most that of its channels' maxima and rounding is monotone. A tile is skipped only
-when its bound is finite, no higher than the peak and below threshold
-times it; tiles holding a negative value, -0.0, NaN or inf always get
-exact heat. Peak and mask pixels are those of bigram_heatmap, the
-whole-map reference that shares the pair-sum formula. The tile maxima
-of all 38 channels belong to the map: the first call on a map array
-computes them (about 1.1 MB at 720p) and keeps them, without a
-reference to the map, while that array object lives and keeps its
-memory and layout. A map must therefore not be written in place
-between calls on the same array: spot a changed map as a new array,
-such as prob.copy(). All candidates are sampled in one bilinear read
-and bounded from below by dtw.dtw_lower_bounds; the DTW program scores
-the candidate of least bound, then every other whose bound comes
-within 1e-9 of that distance: the rest can neither beat nor tie it.
+For each TILE x TILE tile it bounds the query's heat by the pair sums of
+the tile's channel maxima, computed in float64 in the query's pair
+order. The bound is exact: every value is >= 0, each product is at most
+that of its channels' maxima and rounding is monotone. A tile is skipped
+only when its bound is finite, no higher than the peak and below
+threshold times it; tiles holding a negative value, -0.0, NaN or inf
+always get exact heat. Peak and mask pixels are those of bigram_heatmap,
+the whole-map reference that shares the pair-sum formula. The tile
+maxima of all 38 channels belong to the map: the first call on a map
+array computes them (about 1.1 MB at 720p) and keeps them, without a
+reference to the map, while that array object lives and keeps its memory
+and layout. A map must therefore not be written in place between calls
+on the same array: spot a changed map as a new array, such as
+prob.copy(). All candidates are sampled in one bilinear read and bounded
+from below by dtw.dtw_lower_bounds; the DTW program scores the candidate
+of least bound, then every other whose bound comes within 1e-9 of that
+distance: the rest can neither beat nor tie it.
 """
 
 import math
@@ -59,9 +59,9 @@ MAP_SUM_TOLERANCE = 1e-3
 @dataclass(frozen=True)
 class SpottingConfig:
     """Pipeline knobs; only heatmap_threshold has a principled default,
-    the rest are voting/extraction plumbing. proposals names the line
-    proposer, "components" or the paper's "hough" (see the module
-    docstring). Out-of-range values raise InvalidConfig."""
+    the rest are voting/extraction plumbing. hough_rho_res,
+    hough_theta_res, nms_rho and nms_theta tune hough_lines only (see
+    the module docstring). Out-of-range values raise InvalidConfig."""
 
     heatmap_threshold: float = 0.2
     hough_rho_res: float = 1.0
@@ -73,7 +73,6 @@ class SpottingConfig:
     gap_bridge: int = 5
     band_halfwidth: float = 2.0
     query_samples_per_char: int = 10
-    proposals: str = "components"
 
     def __post_init__(self):
         check_fields(self, (
@@ -89,8 +88,6 @@ class SpottingConfig:
             ("band_halfwidth", 0.0 < self.band_halfwidth < math.inf,
              "finite and > 0"),
             ("query_samples_per_char", self.query_samples_per_char >= 1, ">= 1"),
-            ("proposals", self.proposals in ("components", "hough"),
-             "'components' or 'hough'"),
         ))
 
 
@@ -282,7 +279,8 @@ def threshold_mask(heatmap: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def hough_lines(mask: np.ndarray, cfg: SpottingConfig = SpottingConfig()) -> list[LineSegment]:
-    """Candidate text-line segments for a binary mask (may be empty)."""
+    """Candidate text-line segments for a binary mask (may be empty),
+    from the paper's Hough transform."""
     return hough.lines_from_mask(mask, cfg)
 
 
@@ -333,13 +331,13 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     The bigram heatmap is normalized by its peak before thresholding:
     exact soft annotations are much flatter than the near-binary output
     of a trained predictor, so the threshold is interpreted as a
-    fraction of the strongest response. Candidates are ranked by DTW
-    distance; ties fall back to more votes (Hough votes, or a
-    component's pixel count under proposals="components"), then
-    smaller rho, then smaller theta. Candidates whose DTW lower bound cannot reach
-    the best distance are not scored, with the same result. A map whose
-    heatmap peak is not finite, or that is not finite along a candidate
-    line (in any channel), raises InvalidProbabilityMap;
+    fraction of the strongest response. Candidates, one per large enough
+    connected component of the mask, are ranked by DTW distance; ties
+    fall back to more votes (the component's pixel count), then smaller
+    rho, then smaller theta. Candidates whose DTW lower bound cannot
+    reach the best distance are not scored, with the same result. A map
+    whose heatmap peak is not finite, or that is not finite along a
+    candidate line (in any channel), raises InvalidProbabilityMap;
     check_probability_map checks the whole map. A map not of shape
     (height, width, 38) raises ShapeMismatch.
 
@@ -357,9 +355,7 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     # the memo key: np.asarray(a memmap) is a new array on every call
     _, ys, xs = mask_pixels(given if isinstance(given, np.ndarray) else prob,
                             query, cfg.heatmap_threshold)
-    propose = (hough.lines_from_pixels if cfg.proposals == "hough"
-               else hough.lines_from_components)
-    candidates = propose(xs, ys, prob.shape[:2], cfg)
+    candidates = hough.lines_from_components(xs, ys, prob.shape[:2], cfg)
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)

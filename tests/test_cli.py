@@ -214,13 +214,11 @@ class TestSpot:
                     "--blur-sigma", 1.5, "--confusion-rate", 0.2]) == 0
         queries = tmp_path / "q.txt"
         queries.write_text("DIRECTORY\ncarpark\nexit\nzzzz\nparking\ndirect\n")
-        for proposals in ("components", "hough"):
-            one, two = tmp_path / f"1-{proposals}.tsv", tmp_path / f"2-{proposals}.tsv"
-            for jobs, out in ((1, one), (2, two)):
-                assert run(["spot", tensor, queries, out, "--jobs", jobs,
-                            "--proposals", proposals]) == 0
-            assert one.read_bytes() == two.read_bytes()
-            assert "\tfound\t" in one.read_text()
+        one, two = tmp_path / "1.tsv", tmp_path / "2.tsv"
+        assert run(["spot", tensor, queries, one, "--jobs", 1]) == 0
+        assert run(["spot", tensor, queries, two, "--jobs", 2]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert "\tfound\t" in one.read_text()
 
     def test_jobs_never_exceed_the_cpu_count(self, tmp_path, monkeypatch):
         # --jobs used to go to the pool unchanged: one thread per query
@@ -460,16 +458,19 @@ def test_tensor_written_by_library_is_cli_compatible(tmp_path):
 # value: flag -> (field, value).
 SPOT_FLAGS = {
     "--heatmap-threshold": ("heatmap_threshold", 0.35),
-    "--hough-rho-res": ("hough_rho_res", 1.5),
-    "--hough-theta-res": ("hough_theta_res", 0.5),
     "--hough-min-votes": ("hough_min_votes", 7),
-    "--nms-rho": ("nms_rho", 3.0),
-    "--nms-theta": ("nms_theta", 4.0),
     "--max-candidates": ("max_candidates", 3),
     "--gap-bridge": ("gap_bridge", 2),
     "--band-halfwidth": ("band_halfwidth", 2.5),
     "--samples-per-char": ("query_samples_per_char", 6),
-    "--proposals": ("proposals", "hough"),
+}
+# The fields that tune only hough_lines, which spot() does not call, and
+# the flags spot refuses for them.
+HOUGH_ONLY_FLAGS = {
+    "--hough-rho-res": ("hough_rho_res", 1.5),
+    "--hough-theta-res": ("hough_theta_res", 0.5),
+    "--nms-rho": ("nms_rho", 3.0),
+    "--nms-theta": ("nms_theta", 4.0),
 }
 NOISE_FLAGS = {
     "--blur-sigma": ("blur_sigma", 0.5),
@@ -494,7 +495,7 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "spot", lambda prob, query, cfg: seen.append(cfg))
     monkeypatch.setattr(cli, "simulate",
                         lambda scene, noise: seen.append(noise) or embed_scene(scene))
-    for flags, config_class in ((SPOT_FLAGS, SpottingConfig),
+    for flags, config_class in (({**SPOT_FLAGS, **HOUGH_ONLY_FLAGS}, SpottingConfig),
                                 (NOISE_FLAGS, NoiseConfig)):
         assert {field for field, _ in flags.values()} == \
             {f.name for f in dataclasses.fields(config_class)}
@@ -516,15 +517,19 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
                     NoiseConfig()]
 
 
+
+@pytest.mark.parametrize("flag", sorted(HOUGH_ONLY_FLAGS))
+def test_spot_refuses_the_hough_only_flags(tmp_path, capsys, flag):
+    _, tensor, queries = hello_inputs(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["spot", tensor, queries, tmp_path / "d.tsv", flag, HOUGH_ONLY_FLAGS[flag][1]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "d.tsv").exists()
+
 @pytest.mark.parametrize("command, flag, value", [
-    ("spot", "--hough-rho-res", "0"),
-    ("spot", "--hough-theta-res", "0"),
-    ("spot", "--hough-rho-res", "nan"),
-    # accumulators and blur kernels no machine can hold, refused before
-    # anything is allocated
-    ("spot", "--hough-rho-res", "1e-300"),
-    ("spot", "--hough-theta-res", "1e-300"),
-    ("spot", "--proposals", "bogus"),
+    # a blur kernel no machine can hold, refused before anything is
+    # allocated
     ("simulate", "--blur-sigma", "1e19"),
     ("spot", "--band-halfwidth", "-1"),
     ("spot", "--gap-bridge", "-3"),
@@ -546,8 +551,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, flag, value):
     empty_gt.write_text("")
     size = ["--width", 160, "--height", 100]
     argv = {
-        # the Hough flags under the proposer they tune
-        "spot": ["spot", tensor, queries, tmp_path / "d.tsv", "--proposals", "hough"],
+        "spot": ["spot", tensor, queries, tmp_path / "d.tsv"],
         "encode": ["encode", empty_gt, tmp_path / "e.sphoc", *size],
         "simulate": ["simulate", empty_gt, tmp_path / "n.sphoc", *size],
     }[command]

@@ -41,17 +41,12 @@ FLOATS, INTS = (SPECIAL, st.floats(-1e6, 1e6)), (SPECIAL, st.integers(-1000, 100
 FLAGS = {
     "spot": {
         "--heatmap-threshold": (SPECIAL, st.floats(0, 1)),
-        "--hough-rho-res": (SPECIAL, st.floats(0.5, 1e3)),
-        "--hough-theta-res": (SPECIAL, st.floats(0.5, 1e3)),
         "--hough-min-votes": INTS,
-        "--nms-rho": FLOATS,
-        "--nms-theta": FLOATS,
         "--max-candidates": (SMALL, st.integers(-5, 50)),
         "--gap-bridge": INTS,
         "--band-halfwidth": FLOATS,
         "--samples-per-char": (SMALL + HUGE[:1], st.integers(-5, 50)),
         "--jobs": (SMALL, st.integers(-2, 4)),
-        "--proposals": (("components", "hough", "bogus", ""), st.nothing()),
     },
     "simulate": {
         "--width": (SPECIAL, st.integers(-5, 160)),
@@ -133,11 +128,3 @@ def test_flag_combinations(inputs, command, data):
               for flag in chosen]
     check(command_line(inputs, command,
                        [f"{flag}={value}" for flag, value in zip(chosen, values)]))
-
-
-def test_tiny_hough_resolutions_exit_2_without_a_warning(inputs):
-    code, err = run_cli(command_line(inputs, "spot", ["--proposals=hough",
-                                                      "--hough-rho-res=1e-300",
-                                                      "--hough-theta-res=1e-300"]))
-    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert "hough_rho_res 1e-300 and hough_theta_res 1e-300" in err

@@ -2,8 +2,7 @@
 peak or a mask pixel; these tests hold it to the whole-map path.
 
 The whole-map path is written out here: bigram_heatmap, divide by its
-peak, threshold_mask, np.nonzero, the proposer cfg names
-(lines_from_components, or lines_from_mask for Hough), then DTW over
+peak, threshold_mask, np.nonzero, lines_from_components, then DTW over
 the candidates. spot() must agree with it on the peak, on the mask pixels
 (values and row-major order) and on the detection, for every layout,
 dtype, size and query shape, including maps with values the tile bound
@@ -22,7 +21,7 @@ from softphoc import spotting
 from softphoc.alphabet import classify_char
 from softphoc.dtw import dtw_distances
 from softphoc.errors import InvalidProbabilityMap, ShapeMismatch
-from softphoc.hough import lines_from_components, lines_from_mask
+from softphoc.hough import lines_from_components
 from softphoc.oracle import NoiseConfig, simulate
 from softphoc.spotting import (TILE, Detection, SpottingConfig, bigram_heatmap,
                                mask_pixels, query_descriptor,
@@ -44,10 +43,7 @@ def whole_map_path(prob, query, cfg=CFG):
         return peak, np.zeros(0, np.intp), np.zeros(0, np.intp), None
     mask = threshold_mask(heat / peak, cfg.heatmap_threshold)
     ys, xs = np.nonzero(mask)
-    if cfg.proposals == "hough":
-        candidates = lines_from_mask(mask, cfg)
-    else:
-        candidates = lines_from_components(xs, ys, mask.shape, cfg)
+    candidates = lines_from_components(xs, ys, mask.shape, cfg)
     if not candidates:
         return peak, ys, xs, None
     distances = dtw_distances(
@@ -103,10 +99,9 @@ def text_map(rng, height, width, query, dtype=np.float32, blobs=2):
        query=st.text(alphabet="abcd", min_size=1, max_size=6),
        dtype=st.sampled_from(DTYPES + (np.uint8, np.dtype(">f4"), np.dtype(">i2"))),
        channel_planar=st.booleans(),
-       special=st.sampled_from([None, -0.0, -0.25, math.nan, math.inf]),
-       proposals=st.sampled_from(["components", "hough"]))
+       special=st.sampled_from([None, -0.0, -0.25, math.nan, math.inf]))
 def test_spot_matches_the_whole_map_path(seed, height, width, query, dtype,
-                                         channel_planar, special, proposals):
+                                         channel_planar, special):
     rng = np.random.default_rng(seed)
     if dtype == np.uint8:
         prob = np.rint(text_map(rng, height, width, query) * 255).astype(np.uint8)
@@ -118,8 +113,7 @@ def test_spot_matches_the_whole_map_path(seed, height, width, query, dtype,
         y, x = rng.integers(0, height), rng.integers(0, width)
         prob[y, x, classify_char(query[rng.integers(len(query))])] = (
             -1 if kind == "i" else special)
-    assert_same_as_whole_map(planar(prob) if channel_planar else prob, query,
-                             SpottingConfig(proposals=proposals))
+    assert_same_as_whole_map(planar(prob) if channel_planar else prob, query)
 
 
 def scene_map(size, seed):

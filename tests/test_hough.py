@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,25 @@ def test_accumulator_beyond_physical_memory_is_refused(rho_res, theta_res):
     xs, ys = np.array([1, 2]), np.array([3, 4])
     with pytest.raises(InvalidConfig, match="physical memory"):
         hough_accumulator(xs, ys, (50, 100), rho_res, theta_res)
+
+
+def test_tiny_hough_resolutions_are_refused_without_a_warning():
+    cfg = SpottingConfig(hough_rho_res=1e-300, hough_theta_res=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidConfig,
+                           match="hough_rho_res 1e-300 and hough_theta_res 1e-300"):
+            hough_lines(np.eye(20, dtype=bool), cfg)
+
+
+@pytest.mark.parametrize("field, value", [("hough_rho_res", 0.0), ("hough_theta_res", 0.0),
+                                          ("hough_rho_res", math.nan),
+                                          ("hough_theta_res", math.inf),
+                                          ("nms_rho", -1.0), ("nms_theta", math.nan)])
+def test_hough_field_out_of_range_is_refused(field, value):
+    # no spot flag sets these fields: the config is their one check
+    with pytest.raises(InvalidConfig, match=field):
+        SpottingConfig(**{field: value})
 
 
 def refit_mask(seed, shape=(70, 130)):
