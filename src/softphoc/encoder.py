@@ -23,7 +23,7 @@ import numpy as np
 
 from . import alphabet
 from .annotations import SceneAnnotation, WordAnnotation
-from .errors import CropTooNarrow, DegenerateQuad, InvalidIndex, check_memory
+from .errors import CropTooNarrow, DegenerateQuad, InvalidIndex, blocks, check_memory
 from .geometry import quad_mean_side_lengths, round_half_up
 from .warp import apply_homography, bilinear_sample, homography
 
@@ -45,6 +45,7 @@ def char_region_bounds(position: int, n_chars: int, level: int, width: int) -> C
 
     Bounds are computed in real arithmetic and rounded half-up to pixel
     columns at the end; the region is never empty while width >= n_chars.
+    encode_word takes every region's bounds at once, by the same steps.
     """
     if not (1 <= position <= n_chars):
         raise InvalidIndex(f"position {position} outside 1..{n_chars}")
@@ -63,8 +64,10 @@ def encode_word(transcription: str, width: int, height: int) -> np.ndarray:
 
     Returns a (height, width, 38) float64 array where every pixel's 37
     character channels sum to 1 and the background channel is 0. The
-    output varies only along columns. InvalidConfig refuses its row and
-    copy, 8 * 38 * width * (height + 1) bytes, beyond physical memory.
+    output varies only along columns. The regions of char_region_bounds
+    are added as steps, in blocks of levels of about errors.BLOCK_BYTES;
+    InvalidConfig refuses the row and its copy, the only width-sized
+    arrays, 8 * 38 * width * (height + 1) bytes, beyond physical memory.
     """
     classes = alphabet.transcription_to_classes(transcription)
     n = len(classes)
@@ -75,11 +78,13 @@ def encode_word(transcription: str, width: int, height: int) -> np.ndarray:
     check_memory(8.0 * alphabet.NUM_CLASSES * width * (height + 1),
                  f"a {width}x{height} word encoding")
 
-    row = np.zeros((width, alphabet.NUM_CLASSES), dtype=np.float64)
-    for level in range(1, n + 1):
-        for position in range(1, n + 1):
-            region = char_region_bounds(position, n, level, width)
-            row[region.lower:region.upper, classes[position - 1]] += 1.0
+    row = np.zeros((width + 1, alphabet.NUM_CLASSES), dtype=np.float64)
+    before, chars = np.arange(n), np.asarray(classes)  # p - 1, class of p
+    for levels in blocks(np.arange(1, n + 1)[:, None], 8 * 3 * n):
+        for snap, p, step in ((np.floor, before, 1.0), (np.ceil, before + 1, -1.0)):
+            bound = snap(levels * p / n) * (width / levels)
+            np.add.at(row, (np.floor(bound + 0.5).astype(np.intp), chars), step)
+    row = np.cumsum(row, axis=0, out=row)[:width]  # exact integer counts
     row /= row.sum(axis=1, keepdims=True)
     return np.broadcast_to(row, (height, width, alphabet.NUM_CLASSES)).copy()
 

@@ -3,16 +3,18 @@
 Two proposers give the same kind of LineSegment. lines_from_components,
 the one spot() uses, fits one line to each 8-connected component of the
 mask, largest first, with votes = its pixel count and hough_min_votes
-the least component size. lines_from_mask (lines_from_pixels) is the
-paper's Hough transform, kept as the reference proposer of
-spotting.hough_lines and the one that hough_rho_res, hough_theta_res,
-nms_rho and nms_theta tune: foreground pixels vote in a standard
-(rho, theta) accumulator with theta in [0, 180) degrees and rho in
-[-diag, +diag], and peaks are picked by a repeated argmax with greedy
-non-maximum suppression and refit to the pixels in their band. Both
-turn each line into a finite segment by walking it across the image and
-keeping the longest run of positions backed by mask pixels within a
-perpendicular band, bridging small gaps.
+the least component size, labelled on a grid of the mask's rows and
+columns with each empty run squeezed to one, whose cost follows the
+text's rows and columns, not the mask's bounding box. lines_from_mask
+(lines_from_pixels) is the paper's Hough transform, kept as the
+reference proposer of spotting.hough_lines and the one that
+hough_rho_res, hough_theta_res, nms_rho and nms_theta tune: foreground
+pixels vote in a standard (rho, theta) accumulator with theta in
+[0, 180) degrees and rho in [-diag, +diag], and peaks are picked by a
+repeated argmax with greedy non-maximum suppression and refit to the
+pixels in their band. Both turn each line into a finite segment by
+walking it across the image and keeping the longest run of positions
+backed by mask pixels within a perpendicular band, bridging small gaps.
 
 The accumulator votes in blocks of thetas whose (thetas, pixels) array
 of rho bins fits in about errors.BLOCK_BYTES, the package's one budget
@@ -252,15 +254,22 @@ def lines_from_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int]
     max_candidates components of at least hough_min_votes pixels,
     largest first (ties: the first in row-major order), each fit by
     total least squares and trimmed as lines_from_pixels trims its
-    lines, with votes the component's pixel count."""
+    lines, with votes the component's pixel count. The grid labelled
+    keeps the rows and columns that hold pixels, in order, and squeezes
+    each run of absent ones between them to one: 8-adjacency and
+    row-major order stay those of the mask, so the labels do too, and
+    the grid is never larger than the mask's bounding box."""
     if len(xs) == 0:
         return []
-    cols, rows = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
-    x0, y0 = cols.min(), rows.min()
-    grid = np.zeros((rows.max() - y0 + 1, cols.max() - x0 + 1), dtype=bool)
-    grid[rows - y0, cols - x0] = True
+    at = []  # each pixel's row, then column, on the squeezed grid
+    for coords in (ys, xs):
+        used = np.bincount(coords) > 0
+        used[1:] |= used[:-1]  # and the first absent one of each run
+        at.append(np.cumsum(used)[coords] - 1)
+    grid = np.zeros([k.max() + 1 for k in at], dtype=bool)
+    grid[tuple(at)] = True
     # ndimage.label numbers components by their first pixel in row-major order
-    label = ndimage.label(grid, structure=np.ones((3, 3)))[0][rows - y0, cols - x0] - 1
+    label = ndimage.label(grid, structure=np.ones((3, 3)))[0][tuple(at)] - 1
     sizes = np.bincount(label)
     kept = np.argsort(-sizes, kind="stable")
     kept = kept[sizes[kept] >= cfg.hough_min_votes][:cfg.max_candidates]

@@ -8,7 +8,10 @@ point-in-polygon test.
 
 The per-line Hough refit and trim and the DTW batch below are the
 library's earlier one-at-a-time forms, kept as exact references: the
-batched library code must give the same floats, to the bit. The
+batched library code must give the same floats, to the bit. So are the
+word encoding one region at a time, the exact reference of the
+array-wise encoding, and the component labels of the mask's whole
+bounding box, that of the labelling on a squeezed grid. The
 scene-embedding and simulation references keep the library's warp but
 sample every crop channel and corrupt every channel of the whole image,
 where the library samples only the channels of each word's own
@@ -18,9 +21,9 @@ characters and blurs only the live channels of windows around the words.
 import math
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy import ndimage
 
-from softphoc import encoder
+from softphoc import alphabet, encoder, hough
 from softphoc.alphabet import NUM_CHAR_CLASSES, NUM_CLASSES, classify_char
 from softphoc.geometry import line_param_range_in_rect
 
@@ -42,6 +45,48 @@ def oracle_encode_word(word: str, width: int) -> np.ndarray:
                     for x in range(px_lo, px_hi):
                         acc[x, cls] += 1.0
     return acc / acc.sum(axis=1, keepdims=True)
+
+
+def looped_encode_word(transcription: str, width: int, height: int) -> np.ndarray:
+    """encode_word adding one char_region_bounds region at a time."""
+    classes = alphabet.transcription_to_classes(transcription)
+    n = len(classes)
+    row = np.zeros((width, NUM_CLASSES), dtype=np.float64)
+    for level in range(1, n + 1):
+        for position in range(1, n + 1):
+            region = encoder.char_region_bounds(position, n, level, width)
+            row[region.lower:region.upper, classes[position - 1]] += 1.0
+    row /= row.sum(axis=1, keepdims=True)
+    return np.broadcast_to(row, (height, width, NUM_CLASSES)).copy()
+
+
+def bounding_box_labels(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """0-based 8-connected component label of each pixel (xs, ys), by
+    ndimage.label on a grid the size of the pixels' bounding box."""
+    cols, rows = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+    x0, y0 = cols.min(), rows.min()
+    grid = np.zeros((rows.max() - y0 + 1, cols.max() - x0 + 1), dtype=bool)
+    grid[rows - y0, cols - x0] = True
+    return ndimage.label(grid, structure=np.ones((3, 3)))[0][rows - y0, cols - x0] - 1
+
+
+def bounding_box_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+                            cfg) -> list:
+    """hough.lines_from_components with bounding_box_labels."""
+    if len(xs) == 0:
+        return []
+    label = bounding_box_labels(xs, ys)
+    sizes = np.bincount(label)
+    kept = np.argsort(-sizes, kind="stable")
+    kept = kept[sizes[kept] >= cfg.hough_min_votes][:cfg.max_candidates]
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    mx, my = np.bincount(label, xs) / sizes, np.bincount(label, ys) / sizes
+    dx, dy = xs - mx[label], ys - my[label]
+    sxx, sxy, syy = (np.bincount(label, w)[kept] for w in (dx * dx, dx * dy, dy * dy))
+    normals = np.linalg.eigh(np.stack((sxx, sxy, sxy, syy), axis=-1).reshape(-1, 2, 2))[1]
+    lines = [hough._line_through(mx[k], my[k], normal[:, 0])
+             for k, normal in zip(kept, normals)]
+    return hough._segments(lines, sizes[kept].tolist(), xs, ys, shape, cfg)
 
 
 def oracle_dtw(cost: np.ndarray) -> float:
@@ -219,7 +264,7 @@ def simulate_all_channels(scene, cfg) -> np.ndarray:
     embed_scene_all_channels."""
     x = embed_scene_all_channels(scene).astype(np.float64)
     if cfg.blur_sigma > 0.0:
-        x = gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
+        x = ndimage.gaussian_filter(x, sigma=(cfg.blur_sigma, cfg.blur_sigma, 0.0))
     if cfg.confusion_rate > 0.0:
         char = x[..., 1:]
         mass = char.sum(axis=-1, keepdims=True)

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softphoc import errors
 from softphoc.alphabet import classify_char
 from softphoc.encoder import char_region_bounds, encode_word
 from softphoc.errors import CropTooNarrow, EmptyTranscription, InvalidIndex
 
-from oracles import oracle_encode_word
+from oracles import looped_encode_word, oracle_encode_word
 
 words = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789.!"),
@@ -123,3 +126,50 @@ def test_distinct_anagrams_encode_differently(word):
     a = encode_word(word, width, 1)
     b = encode_word(anagram, width, 1)
     assert not np.allclose(a, b)
+
+
+def random_word(rng, n):
+    """n characters: letters, digits, punctuation, and often one repeated."""
+    chars = list("abcdefghijklmnopqrstuvwxyz0123456789.&!-'")
+    if rng.random() < 0.3:
+        return str(rng.choice(chars)) * n
+    return "".join(rng.choice(chars, size=n))
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_matches_the_looped_encoding_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    widths = {n, n + 1, 400, *rng.integers(n, 401, size=12).tolist()}
+    for width in sorted(widths):
+        word = random_word(rng, n)
+        assert encode_word(word, width, 2).tobytes() == \
+            looped_encode_word(word, width, 2).tobytes(), (word, width)
+
+
+def test_a_200_character_query_matches_the_looped_encoding_bit_for_bit():
+    word = random_word(np.random.default_rng(200), 200)
+    for width in (200, 333, 1000):
+        assert encode_word(word, width, 1).tobytes() == \
+            looped_encode_word(word, width, 1).tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 5000])
+def test_blocks_of_levels_do_not_change_the_bytes(block_bytes, monkeypatch):
+    rng = np.random.default_rng(block_bytes)
+    cases = [(random_word(rng, n), width) for n, width in ((1, 1), (7, 7), (15, 90), (60, 250))]
+    expected = [encode_word(word, width, 1).tobytes() for word, width in cases]
+    monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
+    assert [encode_word(word, width, 1).tobytes() for word, width in cases] == expected
+
+
+def test_a_long_query_takes_its_bounds_in_blocks():
+    n = width = 1500  # every (level, position) bound at once: 18 MB a float64 array
+    word = random_word(np.random.default_rng(3), n)
+    row_and_copy = 2 * 8 * 38 * (width + 1)
+    tracemalloc.start()
+    try:
+        encode_word(word, width, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - row_and_copy < 4 * errors.BLOCK_BYTES

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from softphoc import errors
 from softphoc.errors import BLOCK_BYTES, InvalidConfig
@@ -12,7 +13,8 @@ from softphoc.hough import (find_peaks, hough_accumulator, lines_from_components
                             lines_from_pixels, refine_line, trim_line_to_mask)
 from softphoc.spotting import SpottingConfig, hough_lines
 
-from oracles import per_line_refine, per_line_trim
+from oracles import (bounding_box_components, bounding_box_labels, per_line_refine,
+                     per_line_trim)
 
 CFG = SpottingConfig()
 
@@ -585,3 +587,84 @@ def test_components_match_the_looped_reference(seed, min_votes, cap):
     for g, e in zip(got, expected):
         assert (g.x1, g.y1, g.x2, g.y2, g.rho, g.theta) == pytest.approx(
             (e.x1, e.y1, e.x2, e.y2, e.rho, e.theta), abs=1e-6)
+
+
+def squeezed(mask, monkeypatch, **fields):
+    """(segments, the grid lines_from_components hands ndimage.label, the
+    0-based label it gets for each mask pixel in row-major order)."""
+    calls, label = [], ndimage.label
+
+    def spy(grid, structure=None):
+        out = label(grid, structure=structure)
+        calls.append((grid, out[0]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ndimage, "label", spy)
+        segments = components(mask, **fields)
+    (grid, labelled), = calls
+    # the squeeze keeps row-major order, so the grid's pixels are the mask's
+    assert grid.sum() == mask.sum()
+    return segments, grid, labelled[np.nonzero(grid)] - 1
+
+
+def expected_labels(mask):
+    ys, xs = np.nonzero(mask)
+    return bounding_box_labels(xs, ys)
+
+
+@pytest.mark.parametrize("second", [(12, 5), (10, 7), (12, 7)])  # row, col
+def test_components_one_empty_row_column_or_diagonal_step_apart_stay_apart(
+        second, monkeypatch):
+    mask = np.zeros((200, 300), dtype=bool)
+    mask[10, 5] = mask[second] = True
+    mask[150, 280] = True  # far away: the rows and columns between squeeze
+    segments, grid, labels = squeezed(mask, monkeypatch, hough_min_votes=1)
+    assert labels.tolist() == expected_labels(mask).tolist() == [0, 1, 2]
+    assert grid.shape == (3 if second[0] == 10 else 5, 3 if second[1] == 5 else 5)
+
+
+def test_diagonal_neighbours_across_squeezed_rows_and_columns_stay_one(monkeypatch):
+    mask = np.zeros((300, 400), dtype=bool)
+    idx = np.arange(20)
+    mask[100 + idx, 200 + idx] = True  # a diagonal staircase
+    mask[0, 0] = mask[299, 399] = mask[50, 390] = mask[250, 3] = True
+    segments, grid, labels = squeezed(mask, monkeypatch, hough_min_votes=2)
+    assert labels.tolist() == expected_labels(mask).tolist()
+    assert [seg.votes for seg in segments] == [20]
+    # rows 0, 50, 100-119, 250 and 299 and columns 0, 3, 200-219, 390 and
+    # 399: 24 each, and one empty row or column between each two runs
+    assert grid.shape == (28, 28)
+
+
+def test_pixels_at_the_far_corners_of_a_720p_mask(monkeypatch):
+    mask = np.zeros((720, 1280), dtype=bool)
+    mask[0, 0] = mask[1, 1] = mask[0, 1279] = mask[719, 0] = True
+    mask[718, 1278] = mask[719, 1279] = True
+    segments, grid, labels = squeezed(mask, monkeypatch, hough_min_votes=2)
+    assert labels.tolist() == expected_labels(mask).tolist() == [0, 1, 0, 2, 3, 2]
+    # rows 0, 1, 718 and 719 with one empty row between 1 and 718, and so
+    # for the columns
+    assert grid.shape == (5, 5)
+    assert [seg.votes for seg in segments] == [2, 2]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_squeezed_labels_and_segments_match_the_bounding_box(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 720)), int(rng.integers(1, 1280)))
+    density = rng.choice([0.0003, 0.002, 0.01])
+    mask = rng.random(shape) < density
+    for _ in range(int(rng.integers(0, 4))):  # a few straight strokes
+        y, x = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
+        mask[y, x:x + int(rng.integers(1, 60))] = True
+    if not mask.any():
+        mask[shape[0] // 2, shape[1] // 2] = True
+    ys, xs = np.nonzero(mask)
+    cfg = SpottingConfig(hough_min_votes=1, max_candidates=200)
+    segments, grid, labels = squeezed(mask, monkeypatch, hough_min_votes=1,
+                                      max_candidates=200)
+    assert np.array_equal(labels, bounding_box_labels(xs, ys))
+    assert segments == bounding_box_components(xs, ys, shape, cfg)
+    assert grid.shape[0] <= ys.max() - ys.min() + 1
+    assert grid.shape[1] <= xs.max() - xs.min() + 1
