@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 parse/validation errors (with the offending
 line where applicable; also out-of-range flag values, text inputs
 that are not UTF-8, maps that are not per-pixel distributions, map
 sizes beyond the u32 header, and maps, blur kernels, query encodings
-or DTW batches beyond physical memory), 3 I/O errors
-and out of memory, 4 empty query list. Diagnostics go to stderr;
-verbosity is set by the SPHOC_LOG environment variable (error, info or debug).
+or DTW batches beyond physical memory), 3 I/O errors and out of
+memory, 4 an empty query list or an eval detection file without
+records. Diagnostics go to stderr; verbosity is set by the SPHOC_LOG
+environment variable (error, info or debug).
 """
 
 import argparse
@@ -33,10 +34,8 @@ EXIT_NO_QUERIES = 4
 
 # Largest --width/--height: the tensor header stores them as u32.
 _U32_MAX = 2**32 - 1
-# Config fields whose flag is not the field name with dashes; None for
-# no flag: spot() does not read the fields that tune only hough_lines.
-_FLAG_NAMES = {"query_samples_per_char": "samples-per-char", "hough_rho_res": None,
-               "hough_theta_res": None, "nms_rho": None, "nms_theta": None}
+# Config fields whose flag is not the field name with dashes.
+_FLAG_NAMES = {"query_samples_per_char": "samples-per-char"}
 
 
 def _configure_logging():
@@ -50,12 +49,9 @@ def _configure_logging():
 
 
 def _add_config_flags(parser, config_class):
-    """One flag per field of a config dataclass, with the field's default,
-    except the fields that _FLAG_NAMES maps to None."""
+    """One flag per field of a config dataclass, with the field's default."""
     for field in dataclasses.fields(config_class):
         flag = _FLAG_NAMES.get(field.name, field.name.replace("_", "-"))
-        if flag is None:
-            continue
         parser.add_argument("--" + flag, dest=field.name,
                             type=type(field.default), default=field.default,
                             metavar=flag.replace("-", "_").upper())
@@ -157,6 +153,9 @@ def _cmd_spot(ns) -> int:
 
 def _cmd_eval(ns) -> int:
     rows = fileio.read_detections(ns.detections)
+    if not rows:
+        print(f"error: {ns.detections}: no detection records", file=sys.stderr)
+        return EXIT_NO_QUERIES
     gt = fileio.load_annotations(ns.gt_annotations)
     queries = [query for query, _, _ in rows]
     if ns.mode == "line":

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and its two memory rules:
-check_memory refuses what would take more than physical memory, and
-blocks() splits a temporary array built in parts into blocks of about
-BLOCK_BYTES."""
+"""Exception types shared across the package, the checks of config fields
+(check_types, check_fields) and its two memory rules: check_memory
+refuses what would take more than physical memory, and blocks() splits
+a temporary array built in parts into blocks of about BLOCK_BYTES."""
 
+import dataclasses
+import numbers
+import operator
 import os
 
 # Bytes of one block of a temporary array built in parts, at least one item.
@@ -50,6 +53,19 @@ def check_fields(cfg, checks) -> None:
     for name, ok, rule in checks:
         if not ok:
             raise InvalidConfig(f"{name} {getattr(cfg, name)} must be {rule}")
+
+
+def check_types(cfg) -> None:
+    """Raise InvalidConfig for the first field of the dataclass cfg of the
+    wrong type: an int field takes any operator.index-able value and keeps
+    it as an int, a float field takes any real number."""
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if field.type is int and hasattr(type(value), "__index__"):
+            object.__setattr__(cfg, field.name, operator.index(value))
+        elif field.type is int or not isinstance(value, numbers.Real):
+            kind = "an integer" if field.type is int else "a real number"
+            raise InvalidConfig(f"{field.name} {value!r} must be {kind}")
 
 
 def check_memory(need, what: str) -> None:

@@ -7,8 +7,8 @@ the least component size, labelled on a grid of the mask's rows and
 columns with each empty run squeezed to one, whose cost follows the
 text's rows and columns, not the mask's bounding box. lines_from_mask
 (lines_from_pixels) is the paper's Hough transform, kept as the
-reference proposer of spotting.hough_lines and the one that
-hough_rho_res, hough_theta_res, nms_rho and nms_theta tune: foreground
+reference proposer of spotting.hough_lines at the paper's resolutions
+and NMS window (RHO_RES, THETA_RES, NMS_RHO, NMS_THETA): foreground
 pixels vote in a standard (rho, theta) accumulator with theta in
 [0, 180) degrees and rho in [-diag, +diag], and peaks are picked by a
 repeated argmax with greedy non-maximum suppression and refit to the
@@ -22,13 +22,7 @@ for arrays built in parts. One bincount counts a block over only the
 rho bins that the corners of the mask's bounding box reach, each
 theta's bins offset by its row in the block, and only the cells that
 reach the vote threshold are kept: the full (n_rho, n_theta) grid is
-never allocated, and its cost follows the mask, not the image. A
-pixel's rho is rounded to its bin by one add, which rounds half to
-even as np.rint does and leaves the bin in the sum's int64 bits. Peak
-picking sorts and scans only the top-voted of those cells, and starts
-again over four times as many cells when suppression uses them up (see
-find_peaks). Only the votes are built in blocks: the refit and the trim
-take each line's band on its own.
+never allocated, and its memory follows the mask, not the image.
 """
 
 import math
@@ -39,11 +33,10 @@ from scipy import ndimage
 from .errors import InvalidConfig, blocks, check_memory
 from .geometry import LineSegment, line_param_range_in_rect
 
-# For |x| < 2**51, x + _ROUNDER lies in [2**52, 2**53), where doubles are
-# the integers: it is rint(x) + _ROUNDER (even), its int64 bits rint(x) +
-# _ROUNDER_BITS. The accumulator's check_memory keeps rho bins far below.
-_ROUNDER = 1.5 * 2**52
-_ROUNDER_BITS = int(np.float64(_ROUNDER).view(np.int64))
+# The paper's accumulator resolutions (rho in px, theta in degrees) and
+# NMS window, with which lines_from_pixels votes and picks peaks.
+RHO_RES, THETA_RES = 1.0, 1.0
+NMS_RHO, NMS_THETA = 5.0, 5.0
 
 
 def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
@@ -61,8 +54,8 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     diag = math.hypot(width - 1, height - 1)
     # Python floats, so that bin counts beyond any integer are refused too.
     half_bins, n_theta = (float(np.ceil(x)) for x in (diag / rho_res, 180.0 / theta_res))
-    check_memory((2 * half_bins + 1) * n_theta * 8, f"the accumulator of hough_rho_res "
-                 f"{rho_res} and hough_theta_res {theta_res}")
+    check_memory((2 * half_bins + 1) * n_theta * 8, f"the accumulator of rho_res "
+                 f"{rho_res} and theta_res {theta_res}")
     half_bins = int(half_bins)
     rhos = (np.arange(2 * half_bins + 1) - half_bins) * rho_res
     thetas = np.arange(0.0, 180.0, theta_res)
@@ -78,16 +71,12 @@ def hough_accumulator(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     for block in blocks(range(len(thetas)), 8 * len(xs)):
         t0, t1 = block.start, block.stop
         r = xs * cos_t[t0:t1] + ys * sin_t[t0:t1]
-        corners = corner_x * cos_t[t0:t1] + corner_y * sin_t[t0:t1]
-        if rho_res != 1.0:  # x / 1.0 is x
-            r /= rho_res
-            corners /= rho_res
-        r += _ROUNDER  # r's int64 bits are now rint(r) + _ROUNDER_BITS
-        bins = r.view(np.int64)
-        corners = np.rint(corners)
+        r /= rho_res
+        bins = np.rint(r, out=r).astype(np.int64)
+        corners = np.rint((corner_x * cos_t[t0:t1] + corner_y * sin_t[t0:t1]) / rho_res)
         lo, hi = (int(corners.min()), int(corners.max())) if corners.size else (0, 0)
         n_bins = hi - lo + 1
-        bins += np.arange(t1 - t0)[:, None] * n_bins - (lo + _ROUNDER_BITS)
+        bins += np.arange(t1 - t0)[:, None] * n_bins - lo
         counts = np.bincount(bins.ravel(), minlength=(t1 - t0) * n_bins)
         kept = np.flatnonzero(counts >= min_votes)
         block_t, block_r = np.divmod(kept, n_bins)
@@ -101,39 +90,23 @@ def find_peaks(cells, rhos: np.ndarray, thetas: np.ndarray, nms_rho: float,
     votes), indices into rhos and thetas with positive votes, as
     hough_accumulator returns them; returns [(rho, theta_deg, votes), ...] ordered by descending
     votes (ties: smaller rho, then theta). A cell becomes a peak unless
-    it lies within nms_rho and nms_theta of an earlier peak.
-
-    Whether a cell becomes a peak depends only on the cells before it in
-    that order, so the cells with at least some vote count give exactly
-    the first peaks. The picking runs over the top-voted cells (about
-    512, all tied cells kept). When suppression uses them up before
-    max_candidates peaks are found, it starts again from scratch over
-    four times as many: every cell of the last round comes before every
-    new cell, so the same peaks are picked again before the new cells
-    are reached.
-    """
+    it lies within nms_rho and nms_theta of an earlier peak."""
     cell_r, cell_t, cell_v = cells
-    size = 512
-    while True:
-        cut = np.partition(cell_v, -size)[-size] if size < len(cell_v) else 0
-        top = np.flatnonzero(cell_v >= cut)
-        # Listed by rho, then theta, argmax returns the first of tied
-        # maxima: the next peak in (-votes, rho, theta) order.
-        top = top[np.lexsort((cell_t[top], cell_r[top]))]
-        rho, theta = rhos[cell_r[top]], thetas[cell_t[top]]
-        votes = cell_v[top]
-        peaks = []
-        while len(peaks) < max_candidates and len(votes):
-            k = int(np.argmax(votes))
-            if votes[k] < 0:  # every cell is a peak or suppressed
-                break
-            peaks.append((float(rho[k]), float(theta[k]), int(votes[k])))
-            near = (np.abs(rho - rho[k]) <= nms_rho) & (np.abs(theta - theta[k]) <= nms_theta)
-            votes[near] = -1
-            votes[k] = -1  # a NaN window suppresses nothing
-        if len(peaks) >= max_candidates or cut <= cell_v.min(initial=cut):
-            return peaks
-        size *= 4
+    # Listed by rho, then theta, argmax returns the first of tied
+    # maxima: the next peak in (-votes, rho, theta) order.
+    order = np.lexsort((cell_t, cell_r))
+    rho, theta = rhos[cell_r[order]], thetas[cell_t[order]]
+    votes = cell_v[order]
+    peaks = []
+    while len(peaks) < max_candidates and len(votes):
+        k = int(np.argmax(votes))
+        if votes[k] < 0:  # every cell is a peak or suppressed
+            break
+        peaks.append((float(rho[k]), float(theta[k]), int(votes[k])))
+        near = (np.abs(rho - rho[k]) <= nms_rho) & (np.abs(theta - theta[k]) <= nms_theta)
+        votes[near] = -1
+        votes[k] = -1  # a NaN window suppresses nothing
+    return peaks
 
 
 def _band(rho: float, theta_deg: float, xs: np.ndarray, ys: np.ndarray,
@@ -154,25 +127,19 @@ def refine_line(lines, xs: np.ndarray, ys: np.ndarray,
     of the supporting pixels recovers the line at sub-bin accuracy (the
     normal direction is the minor eigenvector of the support's scatter
     matrix). A line keeps its bin values when its support is degenerate.
-    Each line's band is tested on its own; only the eigen decomposition
-    takes all of a query's fits at once.
     """
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    refined = list(lines)
-    fits, covs = [], []
-    for k, (rho, theta) in enumerate(refined):
+    refined = []
+    for rho, theta in lines:
         near = _band(rho, theta, xs, ys, band_halfwidth)[2]
-        if len(near) < 2:
-            continue
-        px, py = xs[near], ys[near]
-        mx, my = px.mean(), py.mean()
-        dx, dy = px - mx, py - my
-        fits.append((k, mx, my))
-        covs.append(((dx @ dx, dx @ dy), (dx @ dy, dy @ dy)))
-    eigs = np.linalg.eigh(np.array(covs)) if covs else ((), ())
-    for (k, mx, my), eigvals, eigvecs in zip(fits, *eigs):
-        if abs(eigvals[1]) >= 1e-12:
-            refined[k] = _line_through(mx, my, eigvecs[:, 0])  # the minor axis
+        if len(near) >= 2:
+            px, py = xs[near], ys[near]
+            mx, my = px.mean(), py.mean()
+            dx, dy = px - mx, py - my
+            eigvals, eigvecs = np.linalg.eigh([[dx @ dx, dx @ dy], [dx @ dy, dy @ dy]])
+            if abs(eigvals[1]) >= 1e-12:
+                rho, theta = _line_through(mx, my, eigvecs[:, 0])  # the minor axis
+        refined.append((rho, theta))
     return refined
 
 
@@ -227,7 +194,8 @@ def trim_line_to_mask(lines, xs: np.ndarray, ys: np.ndarray,
 
 def lines_from_mask(mask: np.ndarray, cfg) -> list[LineSegment]:
     """Full voting pipeline from a binary mask to candidate segments,
-    tuned by the Hough fields of `cfg` (a spotting.SpottingConfig)."""
+    with the hough_min_votes, max_candidates, band_halfwidth and
+    gap_bridge of `cfg` (a spotting.SpottingConfig)."""
     ys, xs = np.nonzero(mask)
     return lines_from_pixels(xs, ys, mask.shape, cfg)
 
@@ -236,13 +204,10 @@ def lines_from_pixels(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
                       cfg) -> list[LineSegment]:
     """lines_from_mask for the pixels (xs, ys), in row-major order, of a
     (height, width) mask."""
-    if len(xs) == 0:
-        return []
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    cells, rhos, thetas = hough_accumulator(xs, ys, shape, cfg.hough_rho_res,
-                                            cfg.hough_theta_res, cfg.hough_min_votes)
-    peaks = find_peaks(cells, rhos, thetas, cfg.nms_rho, cfg.nms_theta,
-                       cfg.max_candidates)
+    cells, rhos, thetas = hough_accumulator(xs, ys, shape, RHO_RES, THETA_RES,
+                                            cfg.hough_min_votes)
+    peaks = find_peaks(cells, rhos, thetas, NMS_RHO, NMS_THETA, cfg.max_candidates)
     lines = refine_line([peak[:2] for peak in peaks], xs, ys, cfg.band_halfwidth)
     return _segments(lines, [votes for _, _, votes in peaks], xs, ys, shape, cfg)
 

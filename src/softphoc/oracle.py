@@ -29,7 +29,7 @@ from scipy.ndimage import gaussian_filter
 from . import alphabet
 from .annotations import SceneAnnotation
 from .encoder import embed_scene, word_box
-from .errors import blocks, check_fields, check_memory
+from .errors import blocks, check_fields, check_memory, check_types
 
 TRUNCATE = 4.0  # kernel radius in sigmas, shared by the filter and the windows
 
@@ -41,6 +41,7 @@ class NoiseConfig:
     background_leak: float = 0.0
 
     def __post_init__(self):
+        check_types(self)
         check_fields(self, (
             ("blur_sigma", 0.0 <= self.blur_sigma < math.inf, "finite and >= 0"),
             ("confusion_rate", 0.0 <= self.confusion_rate <= 1.0, "in [0, 1]"),

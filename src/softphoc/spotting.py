@@ -9,8 +9,8 @@ distance against the query's own fixed-width descriptor.
 Candidates are the lines fit to the mask's 8-connected components
 (hough.lines_from_components), hough_min_votes being the least
 component size. The paper's Hough transform stays as hough_lines, the
-reference proposer that hough_rho_res, hough_theta_res, nms_rho and
-nms_theta tune; spot() does not read those four fields.
+reference proposer, at the paper's resolutions and NMS window; spot()
+does not call it.
 
 spot() computes exact heat only where the peak or a mask pixel can be.
 For each TILE x TILE tile it bounds the query's heat by the pair sums of
@@ -45,7 +45,7 @@ from . import alphabet, hough
 from .dtw import dtw_distance, dtw_distances, dtw_lower_bounds  # noqa: F401
 from .encoder import encode_word
 from .errors import (InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
-                     blocks, check_fields)
+                     blocks, check_fields, check_types)
 from .geometry import LineSegment
 from .warp import bilinear_sample
 
@@ -58,31 +58,23 @@ MAP_SUM_TOLERANCE = 1e-3
 
 @dataclass(frozen=True)
 class SpottingConfig:
-    """Pipeline knobs; only heatmap_threshold has a principled default,
-    the rest are voting/extraction plumbing. hough_rho_res,
-    hough_theta_res, nms_rho and nms_theta tune hough_lines only (see
-    the module docstring). Out-of-range values raise InvalidConfig."""
+    """Pipeline knobs, all read by spot() and hough_lines; only
+    heatmap_threshold has a principled default, the rest are
+    proposal/extraction plumbing. Values of the wrong type (see
+    errors.check_types) or out of range raise InvalidConfig."""
 
     heatmap_threshold: float = 0.2
-    hough_rho_res: float = 1.0
-    hough_theta_res: float = 1.0
     hough_min_votes: int = 20
-    nms_rho: float = 5.0
-    nms_theta: float = 5.0
     max_candidates: int = 20
     gap_bridge: int = 5
     band_halfwidth: float = 2.0
     query_samples_per_char: int = 10
 
     def __post_init__(self):
+        check_types(self)
         check_fields(self, (
             ("heatmap_threshold", 0.0 < self.heatmap_threshold < 1.0, "in (0, 1)"),
-            ("hough_rho_res", 0.0 < self.hough_rho_res < math.inf, "finite and > 0"),
-            ("hough_theta_res", 0.0 < self.hough_theta_res < math.inf,
-             "finite and > 0"),
             ("hough_min_votes", self.hough_min_votes >= 1, ">= 1"),
-            ("nms_rho", self.nms_rho >= 0.0, ">= 0"),
-            ("nms_theta", self.nms_theta >= 0.0, ">= 0"),
             ("max_candidates", self.max_candidates >= 1, ">= 1"),
             ("gap_bridge", self.gap_bridge >= 0, ">= 0"),
             ("band_halfwidth", 0.0 < self.band_halfwidth < math.inf,

@@ -363,6 +363,18 @@ class TestEval:
         assert "line 2:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["line", "bbox"])
+    @pytest.mark.parametrize("content", ["", "# query\tstatus\n"])
+    def test_detection_file_without_records_exits_4(self, tmp_path, capsys, mode,
+                                                    content):
+        gt, det = self.prepare(tmp_path)
+        det.write_text(content)
+        assert run(["eval", det, gt, "--mode", mode]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {det}: no detection records\n"
+        assert not (tmp_path / "det.tsv.report.json").exists()
+
+    @pytest.mark.parametrize("mode", ["line", "bbox"])
     def test_zero_length_detection_segment_exits_2(self, tmp_path, capsys, mode):
         gt, det = self.prepare(tmp_path)
         lines = det.read_text().splitlines()
@@ -464,14 +476,10 @@ SPOT_FLAGS = {
     "--band-halfwidth": ("band_halfwidth", 2.5),
     "--samples-per-char": ("query_samples_per_char", 6),
 }
-# The fields that tune only hough_lines, which spot() does not call, and
-# the flags spot refuses for them.
-HOUGH_ONLY_FLAGS = {
-    "--hough-rho-res": ("hough_rho_res", 1.5),
-    "--hough-theta-res": ("hough_theta_res", 0.5),
-    "--nms-rho": ("nms_rho", 3.0),
-    "--nms-theta": ("nms_theta", 4.0),
-}
+# Flags of the Hough resolutions and NMS window, fixed to the paper's
+# values in the library and refused by spot: flag -> a value once valid.
+HOUGH_ONLY_FLAGS = {"--hough-rho-res": 1.5, "--hough-theta-res": 0.5,
+                    "--nms-rho": 3.0, "--nms-theta": 4.0}
 NOISE_FLAGS = {
     "--blur-sigma": ("blur_sigma", 0.5),
     "--confusion-rate": ("confusion_rate", 0.1),
@@ -495,8 +503,7 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "spot", lambda prob, query, cfg: seen.append(cfg))
     monkeypatch.setattr(cli, "simulate",
                         lambda scene, noise: seen.append(noise) or embed_scene(scene))
-    for flags, config_class in (({**SPOT_FLAGS, **HOUGH_ONLY_FLAGS}, SpottingConfig),
-                                (NOISE_FLAGS, NoiseConfig)):
+    for flags, config_class in ((SPOT_FLAGS, SpottingConfig), (NOISE_FLAGS, NoiseConfig)):
         assert {field for field, _ in flags.values()} == \
             {f.name for f in dataclasses.fields(config_class)}
         for field, value in flags.values():
@@ -522,7 +529,7 @@ def test_every_config_flag_reaches_its_field(tmp_path, monkeypatch):
 def test_spot_refuses_the_hough_only_flags(tmp_path, capsys, flag):
     _, tensor, queries = hello_inputs(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run(["spot", tensor, queries, tmp_path / "d.tsv", flag, HOUGH_ONLY_FLAGS[flag][1]])
+        run(["spot", tensor, queries, tmp_path / "d.tsv", flag, HOUGH_ONLY_FLAGS[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "d.tsv").exists()

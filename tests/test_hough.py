@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from softphoc import errors
+from softphoc import errors, hough
 from softphoc.errors import BLOCK_BYTES, InvalidConfig
 from softphoc.geometry import LineSegment
 from softphoc.hough import (find_peaks, hough_accumulator, lines_from_components,
@@ -320,22 +320,11 @@ def test_accumulator_beyond_physical_memory_is_refused(rho_res, theta_res):
 
 
 def test_tiny_hough_resolutions_are_refused_without_a_warning():
-    cfg = SpottingConfig(hough_rho_res=1e-300, hough_theta_res=1e-300)
+    ys, xs = np.nonzero(np.eye(20, dtype=bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(InvalidConfig,
-                           match="hough_rho_res 1e-300 and hough_theta_res 1e-300"):
-            hough_lines(np.eye(20, dtype=bool), cfg)
-
-
-@pytest.mark.parametrize("field, value", [("hough_rho_res", 0.0), ("hough_theta_res", 0.0),
-                                          ("hough_rho_res", math.nan),
-                                          ("hough_theta_res", math.inf),
-                                          ("nms_rho", -1.0), ("nms_theta", math.nan)])
-def test_hough_field_out_of_range_is_refused(field, value):
-    # no spot flag sets these fields: the config is their one check
-    with pytest.raises(InvalidConfig, match=field):
-        SpottingConfig(**{field: value})
+        with pytest.raises(InvalidConfig, match="rho_res 1e-300 and theta_res 1e-300"):
+            hough_accumulator(xs, ys, (20, 20), 1e-300, 1e-300)
 
 
 def refit_mask(seed, shape=(70, 130)):
@@ -355,11 +344,11 @@ def refit_mask(seed, shape=(70, 130)):
 
 def per_line_lines(xs, ys, shape, cfg):
     """lines_from_pixels with the per-line refit and trim."""
-    cells, rhos, thetas = hough_accumulator(xs, ys, shape, cfg.hough_rho_res,
-                                            cfg.hough_theta_res, cfg.hough_min_votes)
+    cells, rhos, thetas = hough_accumulator(xs, ys, shape, hough.RHO_RES,
+                                            hough.THETA_RES, cfg.hough_min_votes)
     segments = []
-    for rho, theta, votes in find_peaks(cells, rhos, thetas, cfg.nms_rho, cfg.nms_theta,
-                                        cfg.max_candidates):
+    for rho, theta, votes in find_peaks(cells, rhos, thetas, hough.NMS_RHO,
+                                        hough.NMS_THETA, cfg.max_candidates):
         rho, theta = per_line_refine(rho, theta, xs, ys, cfg.band_halfwidth)
         ends = per_line_trim(rho, theta, xs, ys, shape, cfg.band_halfwidth, cfg.gap_bridge)
         if ends is not None:
@@ -379,9 +368,11 @@ def test_batched_refit_and_trim_match_the_per_line_references(
     ys, xs = np.nonzero(mask)
     if lines_per_block:
         monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * len(xs) * lines_per_block)
-    cfg = SpottingConfig(hough_rho_res=rho_res, hough_theta_res=theta_res,
-                         hough_min_votes=3, nms_rho=2.0, nms_theta=2.0,
-                         max_candidates=40, band_halfwidth=band, gap_bridge=gap_bridge)
+    for name, value in (("RHO_RES", rho_res), ("THETA_RES", theta_res),
+                        ("NMS_RHO", 2.0), ("NMS_THETA", 2.0)):
+        monkeypatch.setattr(hough, name, value)
+    cfg = SpottingConfig(hough_min_votes=3, max_candidates=40, band_halfwidth=band,
+                         gap_bridge=gap_bridge)
     cells, rhos, thetas = hough_accumulator(xs, ys, mask.shape, rho_res, theta_res, 3)
     lines = [peak[:2] for peak in find_peaks(cells, rhos, thetas, 2.0, 2.0, 40)]
     lines += [
@@ -429,15 +420,16 @@ def test_trim_of_a_block_mixing_runs_sub_pixel_runs_and_lines_off_the_image(
     assert [ends is None for ends in got] == [True, False, True, False]
 
 
-def test_refit_and_trim_blocks_stay_bounded_at_a_large_candidate_cap():
+def test_refit_and_trim_blocks_stay_bounded_at_a_large_candidate_cap(monkeypatch):
     # 12k pixels and 2000 candidates: one (candidates, pixels) float64
     # array would take 190 MB
     rng = np.random.default_rng(5)
     shape = (200, 300)
     flat = np.sort(rng.choice(shape[0] * shape[1], size=12_000, replace=False))
     ys, xs = np.unravel_index(flat, shape)
-    cfg = SpottingConfig(hough_min_votes=1, nms_rho=0.0, nms_theta=0.0,
-                         max_candidates=2000)
+    monkeypatch.setattr(hough, "NMS_RHO", 0.0)
+    monkeypatch.setattr(hough, "NMS_THETA", 0.0)
+    cfg = SpottingConfig(hough_min_votes=1, max_candidates=2000)
     cells, rhos, thetas = hough_accumulator(xs, ys, shape, 1.0, 1.0, 1)
     peaks = find_peaks(cells, rhos, thetas, 0.0, 0.0, 2000)
     assert len(peaks) == 2000

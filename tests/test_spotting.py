@@ -9,7 +9,7 @@ from softphoc.annotations import SceneAnnotation, WordAnnotation
 from softphoc.dtw import dtw_distances
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.evaluation import line_box_overlap
-from softphoc.errors import (DegenerateSegment, EmptyTranscription,
+from softphoc.errors import (DegenerateSegment, EmptyTranscription, InvalidConfig,
                              InvalidProbabilityMap, ShapeMismatch, SoftPhocError)
 from softphoc.geometry import LineSegment
 from softphoc.masks import build_masks
@@ -369,3 +369,39 @@ class TestNonFiniteProfiles:
         below = LineSegment.from_endpoints(20, 30, 60, 30)
         (profile,) = sample_line_descriptors(bad, [below])
         np.testing.assert_array_equal(profile, sample_line_descriptor(self.prob, below))
+
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("config_class, field, value", [
+        # the wrong type
+        (SpottingConfig, "max_candidates", 2.5),
+        (SpottingConfig, "query_samples_per_char", 2.5),
+        (SpottingConfig, "hough_min_votes", "20"),
+        (SpottingConfig, "gap_bridge", np.float64(5.0)),
+        (SpottingConfig, "max_candidates", None),
+        (SpottingConfig, "heatmap_threshold", "0.3"),
+        (SpottingConfig, "band_halfwidth", 2j),
+        (NoiseConfig, "blur_sigma", "1.5"),
+        (NoiseConfig, "confusion_rate", None),
+        (NoiseConfig, "background_leak", [0.1]),
+        # out of range
+        (SpottingConfig, "heatmap_threshold", np.nan),
+        (SpottingConfig, "max_candidates", np.int64(0)),
+        (SpottingConfig, "band_halfwidth", np.inf),
+        (NoiseConfig, "confusion_rate", 1.5),
+    ])
+    def test_a_bad_value_is_refused_naming_its_field(self, config_class, field, value):
+        with pytest.raises(InvalidConfig, match=f"^{field} "):
+            config_class(**{field: value})
+
+    def test_integer_fields_take_index_values_as_ints(self):
+        cfg = SpottingConfig(hough_min_votes=np.int64(5), max_candidates=np.uint8(3),
+                             gap_bridge=np.int32(0), query_samples_per_char=np.int16(6),
+                             heatmap_threshold=np.float32(0.25), band_halfwidth=3)
+        assert cfg == SpottingConfig(hough_min_votes=5, max_candidates=3, gap_bridge=0,
+                                     query_samples_per_char=6, heatmap_threshold=0.25,
+                                     band_halfwidth=3)
+        assert all(type(getattr(cfg, name)) is int for name in (
+            "hough_min_votes", "max_candidates", "gap_bridge", "query_samples_per_char"))
+        assert NoiseConfig(np.float32(1.5), 0, np.float64(0.1)) == NoiseConfig(1.5, 0.0, 0.1)
