@@ -5,7 +5,7 @@ from .alphabet import (BACKGROUND, NUM_CHAR_CLASSES, NUM_CLASSES, PUNCTUATION,
                        classify_char, transcription_to_classes)
 from .annotations import SceneAnnotation, WordAnnotation, clamp_quad
 from .bbox import BoundingBox, line_to_bbox
-from .dtw import dtw_distance, dtw_distances
+from .dtw import dtw_distance
 from .encoder import (CharRegion, char_region_bounds, embed_scene,
                       encode_word, scene_coverage_mask)
 from .evaluation import (EvalReport, box_quad_iou, combine_reports,
@@ -17,8 +17,7 @@ from .masks import LossReport, LossWeights, MaskTriple, build_masks, evaluate_lo
 from .oracle import NoiseConfig, simulate
 from .spotting import (Detection, SpottingConfig, bigram_heatmap,
                        check_probability_map, hough_lines, query_descriptor,
-                       sample_line_descriptor, sample_line_descriptors, spot,
-                       threshold_mask)
+                       sample_line_descriptor, spot, threshold_mask)
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "classify_char", "transcription_to_classes",
     "SceneAnnotation", "WordAnnotation", "clamp_quad",
     "BoundingBox", "line_to_bbox",
-    "dtw_distance", "dtw_distances",
+    "dtw_distance",
     "CharRegion", "char_region_bounds", "embed_scene", "encode_word",
     "scene_coverage_mask",
     "EvalReport", "box_quad_iou", "combine_reports", "evaluate_bboxes",
@@ -39,7 +38,7 @@ __all__ = [
     "NoiseConfig", "simulate",
     "Detection", "SpottingConfig", "bigram_heatmap", "check_probability_map",
     "hough_lines",
-    "query_descriptor", "sample_line_descriptor", "sample_line_descriptors", "spot",
+    "query_descriptor", "sample_line_descriptor", "spot",
     "threshold_mask",
     "errors",
 ]

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 parse/validation errors (with the offending
 line where applicable; also out-of-range flag values, text inputs
 that are not UTF-8, maps that are not per-pixel distributions, map
 sizes beyond the u32 header, and maps, blur kernels, query encodings
-or DTW batches beyond physical memory), 3 I/O errors and out of
+or DTW programs beyond physical memory), 3 I/O errors and out of
 memory, 4 an empty query list or an eval detection file without
 records. Diagnostics go to stderr; verbosity is set by the SPHOC_LOG
 environment variable (error, info or debug).

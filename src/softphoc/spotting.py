@@ -26,10 +26,9 @@ array computes them (about 1.1 MB at 720p) and keeps them, without a
 reference to the map, while that array object lives and keeps its memory
 and layout. A map must therefore not be written in place between calls
 on the same array: spot a changed map as a new array, such as
-prob.copy(). All candidates are sampled in one bilinear read and bounded
-from below by dtw.dtw_lower_bounds; the DTW program scores the candidate
-of least bound, then every other whose bound comes within 1e-9 of that
-distance: the rest can neither beat nor tie it.
+prob.copy(). The candidates' profiles are bounded from below together by
+dtw.dtw_lower_bounds, then scored one at a time in order of bound up to
+the first bound more than 1e-9 above the best distance so far.
 """
 
 import math
@@ -40,9 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alphabet, hough
-# dtw_distance is unused here but stays bound: perfbench/selftest.py
-# checks that the tracer wraps it on this module.
-from .dtw import dtw_distance, dtw_distances, dtw_lower_bounds  # noqa: F401
+from .dtw import dtw_distance, dtw_lower_bounds
 from .encoder import encode_word
 from .errors import (InvalidProbabilityMap, ShapeMismatch, SoftPhocError,
                      blocks, check_fields, check_types)
@@ -282,39 +279,33 @@ def query_descriptor(query: str, cfg: SpottingConfig = SpottingConfig()) -> np.n
     return encode_word(query, width, 1)[0]
 
 
+def _map_array(prob) -> np.ndarray:
+    """np.asarray(prob); ShapeMismatch unless of shape (height, width, 38)."""
+    prob = np.asarray(prob)
+    if prob.ndim != 3 or prob.shape[2] != alphabet.NUM_CLASSES:
+        raise ShapeMismatch(f"map of shape {prob.shape} is not "
+                            f"(height, width, {alphabet.NUM_CLASSES})")
+    return prob
+
+
 def sample_line_descriptor(prob: np.ndarray, segment: LineSegment) -> np.ndarray:
     """Probability-map profile along a segment at 1 px steps.
 
     The segment is canonicalized (left-to-right, ties top-to-bottom)
     first, so reversed endpoints produce the identical sequence. Returns
-    (floor(length) + 1, 38). Raises InvalidProbabilityMap for a profile
-    that is not finite.
+    (floor(length) + 1, 38). Raises ShapeMismatch for a map not of shape
+    (height, width, 38), InvalidProbabilityMap for a profile not finite.
     """
-    return sample_line_descriptors(prob, [segment])[0]
-
-
-def sample_line_descriptors(prob: np.ndarray, segments) -> list[np.ndarray]:
-    """sample_line_descriptor(prob, seg) for every seg in segments, read
-    from the map in one bilinear_sample call over all their points."""
-    starts, steps, counts = [], [], []
-    for segment in segments:
-        seg = segment.canonical()
-        length = seg.length
-        starts.append((seg.x1, seg.y1))
-        steps.append(((seg.x2 - seg.x1) / length, (seg.y2 - seg.y1) / length))
-        counts.append(int(math.floor(length)) + 1)
-    if not counts:
-        return []
-    ends = np.cumsum(counts)
-    # each point's step count along its own segment
-    ts = np.arange(ends[-1], dtype=np.float64) - np.repeat(ends - counts, counts)
-    (x0, y0), (ux, uy) = (np.repeat(np.array(a).T, counts, axis=1)
-                          for a in (starts, steps))
+    prob = _map_array(prob)
+    seg = segment.canonical()
+    length = seg.length
+    ts = np.arange(int(math.floor(length)) + 1, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        profiles = bilinear_sample(prob, x0 + ts * ux, y0 + ts * uy)
-    if not np.isfinite(profiles).all():
+        profile = bilinear_sample(prob, seg.x1 + ts * ((seg.x2 - seg.x1) / length),
+                                  seg.y1 + ts * ((seg.y2 - seg.y1) / length))
+    if not np.isfinite(profile).all():
         raise InvalidProbabilityMap("the map is not finite along a candidate line")
-    return np.split(profiles, ends[:-1])
+    return profile
 
 
 def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
@@ -326,8 +317,9 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     fraction of the strongest response. Candidates, one per large enough
     connected component of the mask, are ranked by DTW distance; ties
     fall back to more votes (the component's pixel count), then smaller
-    rho, then smaller theta. Candidates whose DTW lower bound cannot
-    reach the best distance are not scored, with the same result. A map
+    rho, then smaller theta. Candidates are scored in order of their DTW
+    lower bound, stopping at the first bound that cannot reach the best
+    distance so far, with the same result as scoring all. A map
     whose heatmap peak is not finite, or that is not finite along a
     candidate line (in any channel), raises InvalidProbabilityMap;
     check_probability_map checks the whole map. A map not of shape
@@ -340,29 +332,24 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     prob.copy(). As the memo holds a weak reference to the map, numpy
     refuses to resize() it while it lives.
     """
-    given, prob = prob, np.asarray(prob)
-    if prob.ndim != 3 or prob.shape[2] != alphabet.NUM_CLASSES:
-        raise ShapeMismatch(f"map of shape {prob.shape} is not "
-                            f"(height, width, {alphabet.NUM_CLASSES})")
+    array = _map_array(prob)
     # the memo key: np.asarray(a memmap) is a new array on every call
-    _, ys, xs = mask_pixels(given if isinstance(given, np.ndarray) else prob,
+    _, ys, xs = mask_pixels(prob if isinstance(prob, np.ndarray) else array,
                             query, cfg.heatmap_threshold)
-    candidates = hough.lines_from_components(xs, ys, prob.shape[:2], cfg)
+    candidates = hough.lines_from_components(xs, ys, array.shape[:2], cfg)
     if not candidates:
         return None
     reference = query_descriptor(query, cfg)
-    profiles = sample_line_descriptors(prob, candidates)
+    profiles = [sample_line_descriptor(array, seg) for seg in candidates]
     bounds = dtw_lower_bounds(profiles, reference)
-    first = int(np.argmin(bounds))
-    distances = np.full(len(candidates), np.inf)  # inf: cannot win, not scored
-    distances[first] = dtw_distances([profiles[first]], reference)[0]
-    # A bound is short of the DP's sum by rounding only, far below 1e-9,
-    # so a larger one can neither beat nor tie the first distance.
-    rest = [k for k in np.flatnonzero(bounds <= distances[first] + 1e-9) if k != first]
-    if rest:
-        distances[rest] = dtw_distances([profiles[k] for k in rest], reference)
-    distance, best = min(zip(distances.tolist(), candidates),
-                         key=lambda pair: (pair[0], -pair[1].votes,
-                                           pair[1].rho, pair[1].theta))
-    return Detection(query=query, segment=best, dtw_distance=distance,
+    best = None
+    for k in np.argsort(bounds, kind="stable").tolist():
+        # A bound is short of the DP's sum by rounding only, far below
+        # 1e-9, so a larger one can neither beat nor tie the best so far.
+        if best and bounds[k] > best[0] + 1e-9:
+            break
+        seg = candidates[k]
+        scored = (dtw_distance(profiles[k], reference), -seg.votes, seg.rho, seg.theta, k)
+        best = min(best or scored, scored)
+    return Detection(query=query, segment=candidates[best[-1]], dtw_distance=best[0],
                      candidates_considered=len(candidates))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softphoc import dtw, errors, spotting
-from softphoc.dtw import dtw_distance, dtw_distances, dtw_lower_bounds
+from softphoc.dtw import dtw_distance, dtw_lower_bounds
 from softphoc.encoder import embed_scene
 from softphoc.errors import EmptySequence, InvalidConfig, ShapeMismatch
 
@@ -23,6 +24,10 @@ def one_hot(channel, dim=38):
 def random_distribution_sequence(rng, length, dim=38):
     seq = rng.random((length, dim))
     return seq / seq.sum(axis=1, keepdims=True)
+
+
+def distances(samples, reference) -> np.ndarray:
+    return np.array([dtw_distance(seq, reference) for seq in samples])
 
 
 def test_identity_distance_is_zero():
@@ -89,33 +94,34 @@ def test_antidiagonal_dp_matches_plain_dp():
         assert dtw_distance(a, b) == pytest.approx(acc[n, m] / (n + m), abs=1e-12)
 
 
-def test_batch_matches_one_at_a_time():
+def test_padded_reference_matches_one_at_a_time():
     rng = np.random.default_rng(29)
     reference = random_distribution_sequence(rng, 40)
     samples = [random_distribution_sequence(rng, n)
                for n in (1, 57, 3, 1, 120, 40, 2)]
     samples.append(np.zeros((5, 38)))  # zero-norm rows cost 1
-    distances = dtw_distances(samples, reference)
-    assert distances.shape == (len(samples),)
-    assert distances.tolist() == [dtw_distance(s, reference) for s in samples]
-    assert dtw_distances([reference], samples[0]).tolist() == \
-        [dtw_distance(reference, samples[0])]
+    assert distances(samples, reference).tolist() == \
+        padded_dtw_distances(samples, reference).tolist()
+    assert [dtw_distance(reference, samples[0])] == \
+        padded_dtw_distances([reference], samples[0]).tolist()
 
 
-def test_batch_rejects_bad_sequences():
+def test_bad_sequences_are_refused():
+    # a sequence that is not 2-D is named by its shape, not called empty;
+    # test_empty_sequence_rejected and test_channel_mismatch_rejected
+    # hold the other refusals
     good = np.zeros((3, 38))
-    with pytest.raises(EmptySequence):
-        dtw_distances([good, np.zeros((0, 38))], good)
-    with pytest.raises(EmptySequence):
-        dtw_distances([good], np.zeros((0, 38)))
-    with pytest.raises(EmptySequence):
-        dtw_distances([], good)
-    with pytest.raises(ShapeMismatch):
-        dtw_distances([good, np.zeros((2, 37))], good)
+    for bad in (np.ones(38), np.ones((2, 3, 38)), np.zeros(0), np.float64(1.0)):
+        shape = re.escape(str(bad.shape))
+        for sample, reference in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeMismatch, match=shape):
+                dtw_distance(sample, reference)
+            with pytest.raises(ShapeMismatch, match=shape):
+                dtw_lower_bounds([good, sample], reference)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_batch_matches_the_padded_reference_to_the_bit(seed):
+def test_distances_match_the_padded_reference_to_the_bit(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(8):
         m = int(rng.choice([1, 2, int(rng.integers(3, 60))]))
@@ -127,7 +133,7 @@ def test_batch_matches_the_padded_reference_to_the_bit(seed):
             seq[rng.random(len(seq)) < 0.3] = 0.0  # zero-norm rows cost 1
         if rng.random() < 0.3:
             reference[rng.integers(m)] = 0.0
-        assert dtw_distances(samples, reference).tolist() == \
+        assert distances(samples, reference).tolist() == \
             padded_dtw_distances(samples, reference).tolist()
 
 
@@ -148,10 +154,10 @@ def test_lower_bounds_never_exceed_the_distances(seed, lengths, m, zero_rows,
     if with_reference:
         samples.append(reference.copy())  # distance 0 when no row is zero
     bounds = dtw_lower_bounds(samples, reference)
-    distances = dtw_distances(samples, reference)
-    assert bounds.shape == distances.shape == (len(samples),)
+    exact = distances(samples, reference)
+    assert bounds.shape == exact.shape == (len(samples),)
     assert np.all(bounds >= 0.0)
-    assert np.all(bounds <= distances + 1e-12), (bounds - distances).max()
+    assert np.all(bounds <= exact + 1e-12), (bounds - exact).max()
 
 
 def test_lower_bounds_check_their_input_and_memory(monkeypatch):
@@ -163,13 +169,13 @@ def test_lower_bounds_check_their_input_and_memory(monkeypatch):
     rng = np.random.default_rng(8)
     reference = random_distribution_sequence(rng, 30)
     samples = [random_distribution_sequence(rng, n) for n in (12, 90, 45)]
-    distances = dtw_distances(samples, reference)
+    exact = distances(samples, reference)
     need = 8 * 30 * (12 + 90 + 45)  # the (M, samples) float64 similarities
     report_physical_memory(monkeypatch, need - 1)
     with pytest.raises(InvalidConfig, match="DTW bounds of 3 sequences .* physical memory"):
         dtw_lower_bounds(samples, reference)
     report_physical_memory(monkeypatch, need)
-    assert np.all(dtw_lower_bounds(samples, reference) <= distances + 1e-12)
+    assert np.all(dtw_lower_bounds(samples, reference) <= exact + 1e-12)
 
 
 def report_physical_memory(monkeypatch, nbytes):
@@ -178,50 +184,50 @@ def report_physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
 
 
-def test_batch_beyond_physical_memory_is_refused(monkeypatch):
+def test_dtw_beyond_physical_memory_is_refused(monkeypatch):
     rng = np.random.default_rng(7)
     reference = random_distribution_sequence(rng, 30)
-    samples = [random_distribution_sequence(rng, n) for n in (12, 90, 45)]
-    need = 16 * 90 * 3 * (30 + 1)  # two (rows, K, M + 1) float64 stacks
+    seq = random_distribution_sequence(rng, 90)
+    need = 16 * 90 * (30 + 1)  # the (n, m) costs and the (n, m + 1) DP state
     report_physical_memory(monkeypatch, need - 1)
-    with pytest.raises(InvalidConfig, match="DTW batch of 3 sequences .* physical memory"):
-        dtw_distances(samples, reference)
+    with pytest.raises(InvalidConfig, match="DTW of 90 samples against 30 .* physical memory"):
+        dtw_distance(seq, reference)
     report_physical_memory(monkeypatch, need)
-    assert dtw_distances(samples, reference).tolist() == \
-        padded_dtw_distances(samples, reference).tolist()
+    assert [dtw_distance(seq, reference)] == \
+        padded_dtw_distances([seq], reference).tolist()
 
 
-def spot_batches(seed):
-    """The (samples, reference) batches spot() scores on a random scene."""
+def spot_pairs(seed):
+    """The (sequence, reference) pairs spot() scores on a random scene."""
     scene = random_scene(np.random.default_rng(seed), n_words=4)
     prob = embed_scene(scene)
-    batches = []
+    pairs = []
 
-    def recording(samples, reference):
-        batches.append((samples, reference))
-        return dtw_distances(samples, reference)
+    def recording(a, b):
+        pairs.append((a, b))
+        return dtw_distance(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spotting, "dtw_distances", recording)
+        mp.setattr(spotting, "dtw_distance", recording)
         for word in scene.words:
             spotting.spot(prob, word.transcription)
-    assert batches
-    return batches
+    assert pairs
+    return pairs
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_batch_peak_memory_is_within_the_bytes_checked(monkeypatch, seed):
+def test_dtw_peak_memory_is_within_the_bytes_checked(monkeypatch, seed):
     counted = []
     monkeypatch.setattr(dtw, "check_memory",
                         lambda need, what: counted.append(need) or errors.check_memory(need, what))
     # numpy's ufunc iterators add fixed buffers of getbufsize() elements
-    # for each of up to three operands, whatever the batch size
+    # for each of up to three operands, whatever the sequence lengths
     buffers = 3 * 8 * np.getbufsize()
-    for samples, reference in spot_batches(seed):
+    for a, b in spot_pairs(seed):
         tracemalloc.start()
         try:
-            dtw_distances(samples, reference)
+            dtw_distance(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= counted[-1] + buffers, (peak, counted[-1], len(samples))
+        assert peak <= counted[-1] + buffers, (peak, counted[-1], len(a), len(b))

@@ -3,10 +3,10 @@ peak or a mask pixel; these tests hold it to the whole-map path.
 
 The whole-map path is written out here: bigram_heatmap, divide by its
 peak, threshold_mask, np.nonzero, lines_from_components, then DTW over
-the candidates. spot() must agree with it on the peak, on the mask pixels
-(values and row-major order) and on the detection, for every layout,
-dtype, size and query shape, including maps with values the tile bound
-cannot vouch for (negative, -0.0, NaN, inf).
+every candidate, unpruned. spot() must agree with it on the peak, on
+the mask pixels (values and row-major order) and on the detection, for
+every layout, dtype, size and query shape, including maps with values
+the tile bound cannot vouch for (negative, -0.0, NaN, inf).
 """
 
 import math
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from softphoc import spotting
 from softphoc.alphabet import classify_char
-from softphoc.dtw import dtw_distances
+from softphoc.dtw import dtw_distance
 from softphoc.errors import InvalidProbabilityMap, ShapeMismatch
 from softphoc.hough import lines_from_components
 from softphoc.oracle import NoiseConfig, simulate
@@ -46,10 +46,10 @@ def whole_map_path(prob, query, cfg=CFG):
     candidates = lines_from_components(xs, ys, mask.shape, cfg)
     if not candidates:
         return peak, ys, xs, None
-    distances = dtw_distances(
-        [sample_line_descriptor(prob, seg) for seg in candidates],
-        query_descriptor(query, cfg))
-    distance, best = min(zip(distances.tolist(), candidates),
+    reference = query_descriptor(query, cfg)
+    distances = [dtw_distance(sample_line_descriptor(prob, seg), reference)
+                 for seg in candidates]
+    distance, best = min(zip(distances, candidates),
                          key=lambda pair: (pair[0], -pair[1].votes,
                                            pair[1].rho, pair[1].theta))
     return peak, ys, xs, Detection(query, best, distance, len(candidates))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from softphoc import hough, spotting
 from softphoc.alphabet import classify_char
 from softphoc.annotations import SceneAnnotation, WordAnnotation
-from softphoc.dtw import dtw_distances
+from softphoc.dtw import dtw_distance, dtw_lower_bounds
 from softphoc.encoder import embed_scene, scene_coverage_mask
 from softphoc.evaluation import line_box_overlap
 from softphoc.errors import (DegenerateSegment, EmptyTranscription, InvalidConfig,
@@ -18,8 +19,7 @@ from softphoc.errors import BLOCK_BYTES
 from softphoc.spotting import (TILE, SpottingConfig,
                                _tile_pixels, bigram_heatmap,
                                check_probability_map, query_descriptor,
-                               sample_line_descriptor, sample_line_descriptors,
-                               spot, threshold_mask)
+                               sample_line_descriptor, spot, threshold_mask)
 from softphoc.warp import bilinear_sample
 
 from oracles import oracle_clipped_length
@@ -30,6 +30,20 @@ CFG = SpottingConfig()
 
 def box_quad(x0, y0, x1, y1):
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
+
+
+def spot_scoring(monkeypatch, prob, query, candidates):
+    """spot() proposing the given candidates, and the profiles it scores
+    with dtw_distance, in order."""
+    monkeypatch.setattr(hough, "lines_from_components", lambda *args: list(candidates))
+    scored = []
+
+    def recording(a, b):
+        scored.append(a)
+        return dtw_distance(a, b)
+
+    monkeypatch.setattr(spotting, "dtw_distance", recording)
+    return spot(prob, query), scored
 
 
 def word_coverage(scene, index):
@@ -209,21 +223,25 @@ class TestSampleLineDescriptor:
         seg = LineSegment.from_endpoints(0, 0, 10.7, 0)
         assert len(sample_line_descriptor(self.prob, seg)) == 11
 
-    def test_batch_matches_one_segment_at_a_time(self):
+    def test_profile_is_one_bilinear_read_at_unit_steps(self):
         rng = np.random.default_rng(8)
         ends = rng.uniform(-5.0, 70.0, size=(30, 4))
         ends[:3, 2:] = ends[:3, :2] + [[0.5, 0.0], [0.0, 1.0], [3.0, 4.0]]  # 1-2 samples
-        segments = [LineSegment.from_endpoints(*e) for e in ends]
-        batch = sample_line_descriptors(self.prob, segments)
-        assert len(batch) == len(segments)
-        for seg, profile in zip(segments, batch):
-            seg = seg.canonical()
+        for e in ends:
+            seg = LineSegment.from_endpoints(*e).canonical()
             length = seg.length
             ts = np.arange(int(np.floor(length)) + 1, dtype=np.float64)
             expected = bilinear_sample(self.prob, seg.x1 + ts * ((seg.x2 - seg.x1) / length),
                                        seg.y1 + ts * ((seg.y2 - seg.y1) / length))
-            assert np.array_equal(profile, expected)
-            assert np.array_equal(profile, sample_line_descriptor(self.prob, seg))
+            assert np.array_equal(sample_line_descriptor(self.prob, seg), expected)
+
+    @pytest.mark.parametrize("shape", [(10, 10), (10, 10, 37), (10, 10, 39), (10, 10, 38, 1)])
+    def test_map_not_of_38_channels_rejected(self, shape):
+        seg = LineSegment.from_endpoints(1, 1, 8, 3)
+        with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
+            sample_line_descriptor(np.full(shape, 0.5), seg)
+        with pytest.raises(ShapeMismatch, match=re.escape(str(shape))):
+            spot(np.full(shape, 0.5), "ab")
 
 
 class TestSpot:
@@ -304,21 +322,34 @@ class TestSpot:
         off_word = LineSegment.from_endpoints(10, 65, 150, 65, votes=30)
         # the lower-vote copy first: its bound is the first least one
         candidates = [replace(on_word, votes=5), replace(on_word, votes=9), off_word]
-        monkeypatch.setattr(hough, "lines_from_components", lambda *args: list(candidates))
-        scored = []
-
-        def recording(samples, reference):
-            scored.extend(samples)
-            return dtw_distances(samples, reference)
-
-        monkeypatch.setattr(spotting, "dtw_distances", recording)
-        det = spot(prob, "hello")
+        det, scored = spot_scoring(monkeypatch, prob, "hello", candidates)
         reference = query_descriptor("hello", CFG)
         profile = sample_line_descriptor(prob, on_word)
         assert det.segment == candidates[1]
-        assert det.dtw_distance == dtw_distances([profile], reference)[0]
+        assert det.dtw_distance == dtw_distance(profile, reference)
         assert det.candidates_considered == 3
         assert len(scored) == 2  # both copies, not the line off the word
+
+    def test_scan_in_bound_order_stops_at_the_best_distance_so_far(self, monkeypatch):
+        quad = box_quad(20, 20, 130, 40)
+        prob = embed_scene(SceneAnnotation(160, 80, [WordAnnotation(quad, "hello")]))
+        least = LineSegment.from_endpoints(58, 35, 132, 25)  # least bound, loses
+        winner = LineSegment.from_endpoints(52, 30, 90, 35)
+        loser = LineSegment.from_endpoints(16, 30, 108, 25)
+        candidates = [loser, winner, least]
+        reference = query_descriptor("hello", CFG)
+        profiles = [sample_line_descriptor(prob, seg) for seg in candidates]
+        (b_loser, b_winner, b_least) = dtw_lower_bounds(profiles, reference)
+        d_loser, d_winner, d_least = (dtw_distance(p, reference) for p in profiles)
+        # the best distance improves mid-scan, from d_least to d_winner,
+        # and only that improvement rules out the third line
+        assert b_least < b_winner < b_loser
+        assert d_winner < d_least and d_winner < d_loser
+        assert d_winner + 1e-9 < b_loser <= d_least
+        det, scored = spot_scoring(monkeypatch, prob, "hello", candidates)
+        assert det == spotting.Detection("hello", winner, d_winner, 3)
+        assert len(scored) == 2
+        assert np.array_equal(scored[0], profiles[2]) and np.array_equal(scored[1], profiles[1])
 
 
 class TestCheckProbabilityMap:
@@ -365,10 +396,9 @@ class TestNonFiniteProfiles:
         assert np.isfinite(sample_line_descriptor(self.prob, across)).all()
         with pytest.raises(InvalidProbabilityMap):
             sample_line_descriptor(bad, across)
-        assert sample_line_descriptors(bad, []) == []
         below = LineSegment.from_endpoints(20, 30, 60, 30)
-        (profile,) = sample_line_descriptors(bad, [below])
-        np.testing.assert_array_equal(profile, sample_line_descriptor(self.prob, below))
+        np.testing.assert_array_equal(sample_line_descriptor(bad, below),
+                                      sample_line_descriptor(self.prob, below))
 
 
 
