@@ -21,14 +21,15 @@ only when its bound is finite, no higher than the peak and below
 threshold times it; tiles holding a negative value, -0.0, NaN or inf
 always get exact heat. Peak and mask pixels are those of bigram_heatmap,
 the whole-map reference that shares the pair-sum formula. The tile
-maxima of all 38 channels belong to the map: the first call on a map
-array computes them (about 1.1 MB at 720p) and keeps them, without a
-reference to the map, while that array object lives and keeps its memory
-and layout. A map must therefore not be written in place between calls
-on the same array: spot a changed map as a new array, such as
-prob.copy(). The candidates' profiles are bounded from below together by
-dtw.dtw_lower_bounds, then scored one at a time in order of bound up to
-the first bound more than 1e-9 above the best distance so far.
+maxima of all 38 channels belong to the map: check_probability_map, or
+else the first call on a map array, computes them (about 1.1 MB at 720p)
+and keeps them, without a reference to the map, while that array object
+lives and keeps its memory and layout. A map must therefore not be
+written in place between calls on the same array: spot a changed map as
+a new array, such as prob.copy(). The candidates' profiles are bounded
+from below together by dtw.dtw_lower_bounds, then scored one at a time
+in order of bound up to the first bound more than 1e-9 above the best
+distance so far.
 """
 
 import math
@@ -113,60 +114,69 @@ def bigram_heatmap(prob: np.ndarray, query: str) -> np.ndarray:
                       classes)
 
 
-def _tile_max(a: np.ndarray) -> np.ndarray:
-    """Maxima of an (H, W, ...) array over TILE x TILE tiles, smaller at
-    the bottom and right edges: shape (ceil(H/TILE), ceil(W/TILE), ...)."""
-    for axis in (0, 1):
-        full = a.shape[axis] - a.shape[axis] % TILE
-        before = (slice(None),) * axis
-        top = a[before + (slice(full),)].reshape(
-            a.shape[:axis] + (full // TILE, TILE) + a.shape[axis + 1:]).max(axis=axis + 1)
-        if full < a.shape[axis]:
-            rest = a[before + (slice(full, None),)].max(axis=axis, keepdims=True)
-            top = np.concatenate((top, rest), axis=axis)
-        a = top
-    return a
-
-
-def _tile_maxima(prob: np.ndarray) -> np.ndarray:
-    """(ceil(H/TILE), ceil(W/TILE), 38) float64 maxima of a native float32
-    or float64 map over tiles, not finite where a tile holds a value that
-    is negative, -0.0, NaN or infinite.
+def _tile_maxima(prob: np.ndarray, sums: bool = False):
+    """(maxima, deviation) of a non-empty native float32 or float64 map:
+    its (ceil(H/TILE), ceil(W/TILE), 38) float64 maxima over tiles, not
+    finite where a tile holds a value that is negative, -0.0, NaN or
+    infinite, and with sums the largest |s - 1| of pixel sums s, else 0.
 
     Finite values >= +0 sort as their bits read as unsigned integers do,
     and every other value reads at or above the bits of +inf, so one
     maximum per tile and channel, capped at those bits, gives both the
     channel maxima and the tiles whose heat must be computed whatever
-    the bound. One pass reads the map in its own order, whatever its
-    layout.
+    the bound. The walk reads one band of TILE rows (columns, if they lie
+    farther apart in memory) at a time, summed while still in cache by
+    np.einsum, which wakes no BLAS threads.
     """
+    axes = (1, 0, 2) if abs(prob.strides[0]) < abs(prob.strides[1]) else (0, 1, 2)
+    prob = prob.transpose(axes)
     bits = prob.view(f"u{prob.itemsize}")
+    height, width, channels = prob.shape
+    full = width - width % TILE
+    top = np.empty((-(-height // TILE), -(-width // TILE), channels), bits.dtype)
+    deviation = 0.0
+    for row, y in enumerate(range(0, height, TILE)):
+        band = bits[y:y + TILE].max(axis=0)
+        top[row, :full // TILE] = band[:full].reshape(-1, TILE, channels).max(axis=1)
+        if full < width:
+            top[row, -1] = band[full:].max(axis=0)
+        if sums:
+            with np.errstate(invalid="ignore", over="ignore"):
+                total = np.einsum("ijc->ij", prob[y:y + TILE])
+                deviation = max(deviation, np.abs(total - 1.0).max())
     inf = np.array(np.inf, dtype=prob.dtype).view(bits.dtype)
-    return np.minimum(_tile_max(bits), inf).view(prob.dtype).astype(np.float64)
+    return np.minimum(top, inf).view(prob.dtype).astype(np.float64).transpose(axes), deviation
 
 
-# _tile_maxima of the maps seen by mask_pixels: id(map) -> (weak reference
+# _tile_maxima of the maps checked or spotted: id(map) -> (weak reference
 # to the map, its data pointer, shape, strides and dtype, the maxima).
 # An entry holds no reference to its map and is dropped when the map dies.
 _MAP_MAXIMA = {}
 _MAP_MAXIMA_LOCK = threading.Lock()
 
 
-def _map_maxima(prob: np.ndarray) -> np.ndarray:
+def _map_maxima(prob: np.ndarray, check: bool = False) -> np.ndarray:
     """_tile_maxima of np.asarray(prob), converted to float64 first unless
     native float32 or float64: computed once per array object prob, such
-    as an np.memmap, while it lives and keeps its memory and layout."""
+    as an np.memmap, while it lives and keeps its memory and layout. With
+    check, computed anew and kept only if check_probability_map passes."""
     layout = (prob.__array_interface__["data"][0], prob.shape, prob.strides,
               prob.dtype)
     with _MAP_MAXIMA_LOCK:
         ref, seen, top = _MAP_MAXIMA.get(id(prob), (None, None, None))
-        if ref is None or ref() is not prob:
-            weakref.finalize(prob, _MAP_MAXIMA.pop, id(prob), None)
-        elif seen == layout:
+        known = ref is not None and ref() is prob
+        if known and seen == layout and not check:
             return top
         data = np.asarray(prob)
         native = data.dtype in (np.float32, np.float64)
-        top = _tile_maxima(data if native else data.astype(np.float64))
+        if check and not native:
+            _check_values_and_sums(data)
+        top, deviation = _tile_maxima(data if native else data.astype(np.float64),
+                                      check and native)
+        if check and native and not (top.max() <= 1.0 and deviation <= MAP_SUM_TOLERANCE / 2):
+            _check_values_and_sums(data)
+        if not known:
+            weakref.finalize(prob, _MAP_MAXIMA.pop, id(prob), None)
         _MAP_MAXIMA[id(prob)] = (weakref.ref(prob), layout, top)
     return top
 
@@ -199,8 +209,8 @@ def mask_pixels(prob: np.ndarray, query: str, threshold: float):
     / peak, computed only where they can be: exact heat is computed on
     the TILE x TILE tile of highest bound, then on every tile whose
     bound exceeds the peak so far or reaches threshold * peak, until no
-    tile is left that could. The tile maxima are the map's, computed on
-    the first call for the array object prob (see the module docstring).
+    tile is left that could. The tile maxima are the map's, kept per array
+    object prob (see the module docstring).
     """
     classes = alphabet.transcription_to_classes(query)
     height, width, channels = prob.shape
@@ -244,11 +254,8 @@ def mask_pixels(prob: np.ndarray, query: str, threshold: float):
     return peak, ys, xs
 
 
-def check_probability_map(prob: np.ndarray) -> None:
-    """Raise InvalidProbabilityMap unless every value is finite and in
-    [0, 1] and each pixel's channels sum to 1 within MAP_SUM_TOLERANCE."""
-    if prob.size == 0:
-        return
+def _check_values_and_sums(prob: np.ndarray) -> None:
+    """check_probability_map's decision and message, in three passes."""
     low, high = prob.min(), prob.max()
     if not (0.0 <= low and high <= 1.0):  # also false for NaN
         raise InvalidProbabilityMap(
@@ -258,6 +265,19 @@ def check_probability_map(prob: np.ndarray) -> None:
         raise InvalidProbabilityMap(
             f"per-pixel channel sums must be within {MAP_SUM_TOLERANCE} of 1, "
             f"found {deviation:.3g} away")
+
+
+def check_probability_map(prob: np.ndarray) -> None:
+    """Raise InvalidProbabilityMap unless every value is finite and in
+    [0, 1] and each pixel's channels sum to 1 within MAP_SUM_TOLERANCE;
+    ShapeMismatch unless prob has shape (height, width, 38). One walk
+    takes the tile maxima, kept for spot(), and the channel sums; a map
+    it cannot pass outright (a value outside [+0, 1] or a sum more than
+    half the tolerance from 1) or not native float32 or float64 is
+    decided, and its error worded, by three passes over it."""
+    array = _map_array(prob)
+    if array.size:
+        _map_maxima(prob if isinstance(prob, np.ndarray) else array, check=True)
 
 
 def threshold_mask(heatmap: np.ndarray, threshold: float) -> np.ndarray:
@@ -325,12 +345,12 @@ def spot(prob: np.ndarray, query: str, cfg: SpottingConfig = SpottingConfig()):
     check_probability_map checks the whole map. A map not of shape
     (height, width, 38) raises ShapeMismatch.
 
-    The first call on a map array (an np.memmap too) computes its 16 x 16
-    tile maxima, which later calls on the same array object reuse (see the
-    module docstring). A map must not be written in place between calls on
-    the same array object: spot a changed buffer as a new array, such as
-    prob.copy(). As the memo holds a weak reference to the map, numpy
-    refuses to resize() it while it lives.
+    The tile maxima of a map array (an np.memmap too) come from
+    check_probability_map or the first call on it and are reused by later
+    calls on the same array object (see the module docstring), which must
+    not be written in place between them: spot a changed buffer as a new
+    array, such as prob.copy(). As the memo holds a weak reference to the
+    map, numpy refuses to resize() it while it lives.
     """
     array = _map_array(prob)
     # the memo key: np.asarray(a memmap) is a new array on every call

@@ -11,7 +11,9 @@ library's earlier one-at-a-time forms, kept as exact references: the
 batched library code must give the same floats, to the bit. So are the
 word encoding one region at a time, the exact reference of the
 array-wise encoding, and the component labels of the mask's whole
-bounding box, that of the labelling on a squeezed grid. The
+bounding box, that of the labelling on a squeezed grid. So are the
+whole-map tile maxima and the three-pass map check, those of the banded
+walk that takes the maxima and the channel sums together. The
 scene-embedding and simulation references keep the library's warp but
 sample every crop channel and corrupt every channel of the whole image,
 where the library samples only the channels of each word's own
@@ -23,8 +25,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from softphoc import alphabet, encoder, hough
+from softphoc import alphabet, encoder, hough, spotting
 from softphoc.alphabet import NUM_CHAR_CLASSES, NUM_CLASSES, classify_char
+from softphoc.errors import InvalidProbabilityMap
 from softphoc.geometry import line_param_range_in_rect
 
 
@@ -234,6 +237,46 @@ def padded_dtw_distances(samples, reference) -> np.ndarray:
         ends = lengths == i + 1
         last[ends] = acc[ends, -1]
     return last / (lengths + m)
+
+
+def tile_max(a: np.ndarray) -> np.ndarray:
+    """Maxima of an (H, W, ...) array over TILE x TILE tiles, smaller at
+    the bottom and right edges: shape (ceil(H/TILE), ceil(W/TILE), ...)."""
+    tile = spotting.TILE
+    for axis in (0, 1):
+        full = a.shape[axis] - a.shape[axis] % tile
+        before = (slice(None),) * axis
+        top = a[before + (slice(full),)].reshape(
+            a.shape[:axis] + (full // tile, tile) + a.shape[axis + 1:]).max(axis=axis + 1)
+        if full < a.shape[axis]:
+            rest = a[before + (slice(full, None),)].max(axis=axis, keepdims=True)
+            top = np.concatenate((top, rest), axis=axis)
+        a = top
+    return a
+
+
+def tile_maxima(prob: np.ndarray) -> np.ndarray:
+    """The float64 tile maxima of a native float32 or float64 map, from
+    tile_max over the whole map's unsigned bits, capped at those of +inf."""
+    bits = prob.view(f"u{prob.itemsize}")
+    inf = np.array(np.inf, dtype=prob.dtype).view(bits.dtype)
+    return np.minimum(tile_max(bits), inf).view(prob.dtype).astype(np.float64)
+
+
+def three_pass_check(prob: np.ndarray) -> None:
+    """check_probability_map as a minimum, a maximum and a channel sum,
+    each over the whole map."""
+    if prob.size == 0:
+        return
+    low, high = prob.min(), prob.max()
+    if not (0.0 <= low and high <= 1.0):  # also false for NaN
+        raise InvalidProbabilityMap(
+            f"map values must be finite and in [0, 1], found [{low}, {high}]")
+    deviation = np.abs(prob.sum(axis=-1) - 1.0).max()
+    if deviation > spotting.MAP_SUM_TOLERANCE:
+        raise InvalidProbabilityMap(
+            f"per-pixel channel sums must be within {spotting.MAP_SUM_TOLERANCE} of 1, "
+            f"found {deviation:.3g} away")
 
 
 def embed_scene_all_channels(scene) -> np.ndarray:

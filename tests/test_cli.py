@@ -695,6 +695,29 @@ def test_query_with_tab_rejected_before_the_map_is_read(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    ("nan", "map values must be finite and in [0, 1], found [nan, nan]"),
+    ("1.5", "map values must be finite and in [0, 1], found [0.0, 1.5]"),
+    ("sum 1.01", "per-pixel channel sums must be within 0.001 of 1, found 0.01 away")])
+def test_map_refused_by_the_check_exits_2_with_its_message(tmp_path, capsys, corrupt,
+                                                           message):
+    prob = embed_scene(quad_scene("hello")).astype(np.float32)
+    if corrupt == "nan":
+        prob[7, 9, 3] = np.nan
+    elif corrupt == "1.5":
+        prob[99, 159, 0] = 1.5
+    else:
+        prob[50, 80, 5] += np.float32(0.01)
+    tensor = tmp_path / "bad.sphoc"
+    write_tensor(tensor, prob)
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\n")
+    out = tmp_path / "d.tsv"
+    assert run(["spot", tensor, queries, out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corrupt", ["nan", "negative"])
 def test_map_that_is_not_a_distribution_exits_2(tmp_path, capsys, corrupt):
     prob = embed_scene(quad_scene("hello")).astype(np.float32)

@@ -16,7 +16,8 @@ import pytest
 
 from softphoc import spotting
 from softphoc.alphabet import classify_char
-from softphoc.spotting import spot
+from softphoc.cli import main
+from softphoc.spotting import check_probability_map, spot
 
 from test_heat_tiles import assert_same_as_whole_map, planar, scene_map, text_map
 
@@ -27,9 +28,9 @@ def fills(monkeypatch):
     filled = []
     original = spotting._tile_maxima
 
-    def counting(prob):
+    def counting(prob, sums=False):
         filled.append(prob.shape)
-        return original(prob)
+        return original(prob, sums)
 
     monkeypatch.setattr(spotting, "_tile_maxima", counting)
     return filled
@@ -121,3 +122,27 @@ def test_converted_maps_are_keyed_on_the_callers_array(dtype, fills):
             assert_same_as_whole_map(layout, query)
         assert spotting._MAP_MAXIMA[id(layout)][0]() is layout
     assert len(fills) == 2
+
+
+def test_checked_map_is_not_read_again_by_spot(fills):
+    prob, words = scene_map((320, 240), 25)
+    check_probability_map(prob)
+    assert fills == [prob.shape]
+    for query in words + ["qzx"]:
+        spot(prob, query)
+    assert fills == [prob.shape]
+
+
+def test_spot_command_fills_the_maxima_once(fills, tmp_path):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("10,10,80,10,80,30,10,30,hello\n30,50,120,50,120,70,30,70,world\n")
+    tensor = tmp_path / "m.sphoc"
+    assert main(["simulate", str(gt), str(tensor), "--width", "150", "--height", "90"]) == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("hello\nworld\nqzx\n")
+    for jobs in ("1", "2"):
+        fills.clear()
+        assert main(["spot", str(tensor), str(queries), str(tmp_path / "d.tsv"),
+                     "--jobs", jobs]) == 0
+        # the check's walk, with the channel sums; no query reads the map again
+        assert fills == [(90, 150, 38)]
